@@ -112,9 +112,9 @@ class Hypergraph:
         return sum(1 for e in self.edges if v in e)
 
     def edge_masks(self) -> list[int]:
-        """Edges as bitmasks (vertex v -> bit v-1), sorted small edges first."""
-        masks = [sum(1 << (v - 1) for v in e) for e in self.edges]
-        return sorted(masks, key=lambda m: (m.bit_count(), m))
+        """Edges as bitmasks (vertex v -> bit v-1), in increasing order."""
+        bit = [0] + [1 << i for i in range(self.n)]
+        return sorted([sum(map(bit.__getitem__, e)) for e in self.edges])
 
 
 def edgeless(n: int, k: int | None = None) -> Hypergraph:
@@ -318,9 +318,16 @@ def hypergraph_from_json(obj: dict | str) -> Hypergraph:
     if not isinstance(obj, dict):
         raise ValueError("hypergraph JSON must be an object")
     try:
-        n = int(obj["n"])
-        edges = frozenset(tuple(int(v) for v in e) for e in obj["edges"])
+        n = _json_int(obj["n"], "n")
+        edges = frozenset(tuple(_json_int(v, "a vertex") for v in e) for e in obj["edges"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed hypergraph JSON: {exc}") from exc
     k = obj.get("k")
-    return Hypergraph(n, edges, None if k is None else int(k))
+    return Hypergraph(n, edges, None if k is None else _json_int(k, "k"))
+
+
+def _json_int(value, what: str) -> int:
+    """An integer from JSON; floats, booleans and strings are refused, not cast."""
+    if type(value) is not int:
+        raise ValueError(f"hypergraph JSON: {what} must be an integer, not {value!r}")
+    return value

@@ -15,58 +15,107 @@ sweep command enforce that.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from . import kernels
 from .errors import GuardExceeded
-from .hypergraph import Edge, Hypergraph, prune_supersets
-from .polynomial import ONE, ZERO, Poly, one_plus_x_pow
+from .hypergraph import Hypergraph
+from .polynomial import ZERO, Poly, one_plus_x_pow
 
 BRUTE_FORCE_GUARD = 24
 TRINKS_GUARD = 40
 
 
 def ipoly_bruteforce(h: Hypergraph, guard: bool = True) -> Poly:
-    """Oracle method: enumerate all 2^n subsets."""
+    """Oracle method: enumerate all 2^n subsets.
+
+    Past the kernel's HARD_CAP the instance is refused even with guard=False.
+    """
     if guard and h.n > BRUTE_FORCE_GUARD:
         raise GuardExceeded(
             f"brute force on {h.n} vertices exceeds the guard of {BRUTE_FORCE_GUARD}"
+        )
+    if h.n > kernels.HARD_CAP:
+        raise GuardExceeded(
+            f"brute force on {h.n} vertices exceeds the kernel's cap of {kernels.HARD_CAP}"
         )
     return Poly(kernels.independence_counts(h.n, h.edge_masks()))
 
 
 def ipoly_trinks(h: Hypergraph, guard: bool = True, prune: bool = True) -> Poly:
-    """Vertex deletion/hiding recursion, memoized on (n, edge set).
+    """Vertex deletion/hiding recursion on edge bitmasks, memoized per call.
 
     Pivot is the highest-labelled vertex v = n, so neither branch needs to
     relabel: deletion drops the edges through v, hiding shrinks them.  With
-    prune=True shrunken edge families are reduced to their containment
-    minimal members first, which canonicalizes memo keys; prune=False is
+    prune=True the family is kept free of edges that contain another edge,
+    which canonicalizes memo keys.  The input is pruned once on entry;
+    after that only an unshrunk edge can contain a shrunk one, so hiding
+    tests just the unshrunk edges against the shrunk set.  prune=False is
     kept so the equivalence of the two is testable.
     """
     if guard and h.n > TRINKS_GUARD:
         raise GuardExceeded(
             f"deletion recursion on {h.n} vertices exceeds the guard of {TRINKS_GUARD}"
         )
-    return _trinks(h.n, h.edges, prune)
-
-
-@lru_cache(maxsize=None)
-def _trinks(n: int, edges: frozenset[Edge], prune: bool) -> Poly:
-    if () in edges:
+    masks = h.edge_masks()
+    if masks and masks[0] == 0:
         return ZERO  # the empty edge makes every subset dependent
-    if n == 0:
-        return ONE
-    # edges are sorted tuples, so v = n is present exactly when e[-1] == n
-    deleted = frozenset(e for e in edges if e[-1] != n)
-    if (n,) in edges:
-        return _trinks(n - 1, deleted, prune)
-    hidden = frozenset(e[:-1] if e[-1] == n else e for e in edges)
-    if prune:
-        hidden = prune_supersets(hidden)
-    return _trinks(n - 1, deleted, prune) + _trinks(n - 1, hidden, prune).shifted(1)
+    if prune and h.k is None:  # a uniform family has nothing to prune
+        members = set(masks)
+        masks = [m for m in masks if not _contains_member(m, members)]
+    memo: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+
+    def count(n: int, family: tuple[int, ...]) -> list[int]:
+        """Independent sets by size; family holds increasing masks below 2^n."""
+        if not family:
+            return [comb(n, i) for i in range(n + 1)]
+        key = (n, family)
+        if key in memo:
+            return memo[key]
+        top = 1 << (n - 1)
+        cut = bisect_left(family, top)  # the edges through v are the masks >= top
+        deleted = family[:cut]
+        if cut == len(family):  # v is in no edge
+            rest = count(n - 1, family)
+            out = [a + b for a, b in zip(rest + [0], [0] + rest)]
+        elif family[cut] == top:  # v alone is an edge: v is in no independent set
+            out = count(n - 1, deleted) + [0]
+        else:
+            shrunk = [m ^ top for m in family[cut:]]
+            if prune:
+                members = set(shrunk)
+                # m & (m-1), m's first submask, is tried inline: the usual hit
+                hidden = shrunk + [
+                    m for m in deleted
+                    if m & (m - 1) not in members and not _contains_member(m, members)
+                ]
+            else:
+                hidden = set(shrunk).union(deleted)
+            with_v = count(n - 1, tuple(sorted(hidden)))
+            out = [a + b for a, b in zip(count(n - 1, deleted) + [0], [0] + with_v)]
+        memo[key] = out
+        return out
+
+    return Poly(count(h.n, tuple(masks)))
+
+
+def _contains_member(m: int, family: set[int]) -> bool:
+    """True when some member of family is a proper submask of m.
+
+    Walks the 2^|m| submasks of m (s = (s-1) & m) or the family, whichever
+    is shorter, so it never goes pairwise over a large family.
+    """
+    if 1 << m.bit_count() <= len(family):
+        s = m
+        while s:
+            s = (s - 1) & m
+            if s in family:
+                return True
+        return False
+    return any(f & m == f and f != m for f in family)
 
 
 def ipoly_antiregular_recurrence(n: int, k: int, connected: bool) -> Poly:

@@ -24,3 +24,13 @@ def uniform_hypergraphs(draw, min_k: int = 2, max_k: int = 4, max_n: int = 7):
     universe = list(combinations(range(1, n + 1), k))
     edges = draw(st.sets(st.sampled_from(universe)))
     return Hypergraph(n, frozenset(edges), k)
+
+
+@st.composite
+def mixed_hypergraphs(draw, max_n: int = 9):
+    """Hypergraphs with edges of mixed sizes, some containing others."""
+    n = draw(st.integers(1, max_n))
+    edge = st.sets(st.integers(1, n), min_size=1, max_size=min(n, 5)).map(
+        lambda vs: tuple(sorted(vs))
+    )
+    return Hypergraph(n, frozenset(draw(st.lists(edge, max_size=14))))

@@ -122,6 +122,14 @@ class TestIpoly:
         payload = json.loads(res.stdout)
         assert payload["methods"]["trinks"][1] == "41"
 
+    def test_brute_force_past_kernel_cap_is_refused(self, runner, tmp_path):
+        big = write_json(tmp_path, "big.json", {"k": 3, "n": 31, "edges": []})
+        res = invoke(
+            runner, "ipoly", "--file", big, "--method", "brute", "--unsafe-no-guard"
+        )
+        assert res.exit_code == 3
+        assert "cap of 30" in res.stderr
+
 
 class TestLabel:
     def test_thirteen_vertex_labels_frozen(self, runner):
@@ -183,6 +191,20 @@ class TestVerifyT3:
         res = invoke(runner, "verify-t3", "--file", path)
         assert res.exit_code == 1
         assert json.loads(res.stdout)["witness"] is not None
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"k": 2, "n": 3, "edges": [[1.7, 2], [True, 3]]},
+            {"k": 2, "n": 3.0, "edges": [[1, 2]]},
+            {"k": True, "n": 3, "edges": [[1, 2]]},
+        ],
+    )
+    def test_non_integer_input_is_usage_error(self, runner, tmp_path, obj):
+        path = write_json(tmp_path, "bad.json", obj)
+        res = invoke(runner, "verify-t3", "--file", path)
+        assert res.exit_code == 2
+        assert "must be an integer" in res.stderr
 
 
 class TestDegrees:

@@ -122,6 +122,12 @@ class TestHypergraphType:
         with pytest.raises(ValueError):
             hypergraph_from_json("[]")
 
+    def test_json_rejects_non_integers(self):
+        for bad in ({"n": 3, "edges": [[1.7, 2]]}, {"n": 3, "edges": [[True, 3]]},
+                    {"n": "3", "edges": []}, {"n": 3, "k": 2.0, "edges": []}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                hypergraph_from_json(bad)
+
 
 class TestOperations:
     def test_complement_five_vertex(self):

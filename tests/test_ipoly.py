@@ -24,7 +24,7 @@ from antiregular import (
     solve_beta,
 )
 from antiregular.polynomial import ZERO, Poly
-from conftest import building_strings, uniform_hypergraphs
+from conftest import building_strings, mixed_hypergraphs, uniform_hypergraphs
 
 H1 = Hypergraph(5, frozenset([(1, 4, 5), (2, 3, 5), (2, 4, 5), (3, 4, 5)]), 3)
 
@@ -79,6 +79,11 @@ class TestTrinks:
     @settings(max_examples=60)
     def test_matches_brute_force(self, h):
         assert ipoly_trinks(h) == ipoly_bruteforce(h)
+
+    @given(mixed_hypergraphs(), st.booleans())
+    @settings(max_examples=150)
+    def test_non_uniform_matches_brute_force(self, h, prune):
+        assert ipoly_trinks(h, prune=prune) == ipoly_bruteforce(h)
 
     @given(uniform_hypergraphs(max_n=7))
     @settings(max_examples=60)
