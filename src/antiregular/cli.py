@@ -34,6 +34,7 @@ from .ipoly import (
     ipoly_semiclosed,
     ipoly_trinks,
     is_log_concave,
+    structural_routes,
 )
 from .sweep import default_workers, run_sweep
 from .threshold import Labeling, algorithm1_labels, t2_feasibility, verify_t2, verify_t3
@@ -174,20 +175,11 @@ def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
         return ipoly_semiclosed(h.n, h.k, connected)
 
     if method == "all":
-        names = ["brute", "trinks"]
+        polys = {name: compute(name) for name in ("brute", "trinks")}
         if structural:
-            names.append("recurrence")
-            if h.k == 3:
-                names.append("closed")
-            try:
-                ipoly_semiclosed(h.n, h.k, connected)
-            except ValueError:
-                pass  # below the validity range; skip
-            else:
-                names.append("semiclosed")
+            polys.update(structural_routes(h.n, h.k, connected))
     else:
-        names = [method]
-    polys = {name: compute(name) for name in names}
+        polys = {method: compute(method)}
     agree = len({p.coeffs for p in polys.values()}) == 1
     payload = {
         "n": h.n,

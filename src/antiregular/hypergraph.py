@@ -264,13 +264,15 @@ def degree_sequence(h: Hypergraph) -> tuple[int, ...]:
 def recognize_zero_one_constructable(
     h: Hypergraph, guard: bool = True
 ) -> BuildingString | None:
-    """Recover a building string for h, or None when no construction exists.
+    """Recover the building string of h, or None when no construction exists.
 
-    Peels the highest-labelled vertex: it must be isolated (degree 0) or
-    dominating-complete (lying in every k-subset through it).  The two
-    cases are mutually exclusive once at least k vertices remain, so the
-    peel is deterministic; the backtracking shape is kept for the corner
-    where fewer than k vertices are left.
+    In a built hypergraph a k-subset is an edge exactly when its largest
+    vertex is a 1-bit, so the only candidate string has a 1 at the top
+    vertex e[-1] of every edge e and 0 elsewhere.  Its hypergraph holds
+    every edge of h, because each edge's top is a 1-bit, plus C(p-1, k-1)
+    edges per 1-bit p in all.  The two are therefore equal exactly when h
+    has that many edges, and no edge set needs building or comparing.
+    Tops are at least k, so the candidate never breaks the position rule.
     """
     if h.k is None:
         raise ValueError("recognition needs a k-uniform hypergraph")
@@ -278,27 +280,10 @@ def recognize_zero_one_constructable(
         raise GuardExceeded(
             f"recognition on {h.n} vertices exceeds the guard of {RECOGNIZE_GUARD}"
         )
-    k = h.k
-    bits: list[str] = []
-
-    def peel(cur: Hypergraph) -> bool:
-        if cur.n == 0:
-            return True
-        moves = []
-        if cur.degree(cur.n) == 0:
-            moves.append("0")
-        if cur.n >= k and cur.degree(cur.n) == comb(cur.n - 1, k - 1):
-            moves.append("1")
-        for move in moves:
-            bits.append(move)
-            if peel(delete_vertex(cur, cur.n)):
-                return True
-            bits.pop()
-        return False
-
-    if peel(h):
-        return BuildingString("".join(reversed(bits)), k)
-    return None
+    tops = {e[-1] for e in h.edges}
+    if len(h.edges) != sum(comb(p - 1, h.k - 1) for p in tops):
+        return None
+    return BuildingString("".join("1" if v in tops else "0" for v in h.vertices), h.k)
 
 
 # ── JSON interchange ────────────────────────────────────────────────────────

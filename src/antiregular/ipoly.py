@@ -1,4 +1,4 @@
-"""Independence polynomials of hypergraphs, by four independent routes.
+"""Independence polynomials of hypergraphs, by five independent routes.
 
 I(H;x) = sum over independent sets W (subsets containing no edge) of
 x^|W|.  The routes, in increasing order of structure they assume:
@@ -6,11 +6,13 @@ x^|W|.  The routes, in increasing order of structure they assume:
   * brute force          any hypergraph, subset enumeration
   * deletion recursion   any hypergraph, I(H) = I(H-v) + x I(H~v)
   * two-term recurrence  antiregular hypergraphs only
+  * closed form          antiregular hypergraphs with k = 3 only
   * semi-closed form     antiregular hypergraphs, binomial bracket plus a
                          per-level correction table
 
-All four must agree wherever more than one applies; the test suite and the
-sweep command enforce that.
+All five must agree wherever more than one applies; the test suite, the
+sweep and `ipoly --method all` enforce that.  structural_routes() lists the
+last three for one antiregular instance.
 """
 
 from __future__ import annotations
@@ -170,6 +172,22 @@ def ipoly_k3_closed(n: int, connected: bool) -> Poly:
         + 3 * one_plus_x_pow(m)
         - one_plus_x_pow(1) * Poly((3, 2 * m - 1))
     )
+
+
+def structural_routes(n: int, k: int, connected: bool) -> dict[str, Poly]:
+    """The antiregular routes that apply to (n, k): recurrence, closed, semiclosed.
+
+    The closed form exists for k = 3 only; the semi-closed form is skipped
+    below its validity range.
+    """
+    routes = {"recurrence": ipoly_antiregular_recurrence(n, k, connected)}
+    if k == 3:
+        routes["closed"] = ipoly_k3_closed(n, connected)
+    try:
+        routes["semiclosed"] = ipoly_semiclosed(n, k, connected)
+    except ValueError:
+        pass  # below the semi-closed validity range
+    return routes
 
 
 # ── per-level correction tables ─────────────────────────────────────────────

@@ -15,13 +15,7 @@ from itertools import product
 from typing import Iterator
 
 from .hypergraph import BuildingString, antiregular_string, build_hypergraph
-from .ipoly import (
-    ipoly_antiregular_recurrence,
-    ipoly_bruteforce,
-    ipoly_k3_closed,
-    ipoly_semiclosed,
-    ipoly_trinks,
-)
+from .ipoly import ipoly_bruteforce, ipoly_trinks, structural_routes
 from .threshold import algorithm1_labels, check_label_monotonicity, verify_t2
 
 
@@ -38,19 +32,10 @@ def antiregular_agreement_failures(k: int, n: int) -> list[str]:
     fails = []
     variants = [False] if n < k else [False, True]
     for connected in variants:
-        b = antiregular_string(n, k, connected)
-        h = build_hypergraph(b)
-        ref = ipoly_antiregular_recurrence(n, k, connected)
-        others = {
-            "brute": ipoly_bruteforce(h),
-            "deletion": ipoly_trinks(h),
-        }
-        try:
-            others["semiclosed"] = ipoly_semiclosed(n, k, connected)
-        except ValueError:
-            pass  # below the semi-closed validity range
-        if k == 3:
-            others["closed"] = ipoly_k3_closed(n, connected)
+        h = build_hypergraph(antiregular_string(n, k, connected))
+        others = structural_routes(n, k, connected)
+        ref = others.pop("recurrence")
+        others.update(brute=ipoly_bruteforce(h), deletion=ipoly_trinks(h))
         for name, p in others.items():
             if p != ref:
                 fails.append(f"k={k} n={n} connected={connected}: {name} != recurrence")
@@ -98,7 +83,11 @@ def default_workers() -> int:
     workers = min(os.cpu_count() or 1, 8)
     env = os.environ.get("NUM_WORKERS")
     if env:
-        workers = min(workers, max(1, int(env)))
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(f"NUM_WORKERS must be an integer, not {env!r}") from None
+        workers = min(workers, max(1, cap))
     return workers
 
 

@@ -16,10 +16,11 @@ y) lands on an edge again.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import GuardExceeded
 from .hypergraph import BuildingString, Edge, Hypergraph
@@ -42,12 +43,30 @@ class Labeling:
 
     @staticmethod
     def from_json(obj: dict | str) -> "Labeling":
+        """Read {"c": [...], "tau": ...}; labels are integers or decimal strings.
+
+        Anything else (floats, booleans, a string for c) is refused, not cast.
+        """
         if isinstance(obj, str):
             obj = json.loads(obj)
         try:
-            return Labeling(tuple(int(v) for v in obj["c"]), int(obj["tau"]))
+            c, tau = obj["c"], obj["tau"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed labeling JSON: {exc}") from exc
+        if not isinstance(c, list):
+            raise ValueError(f"labeling JSON: c must be a list, not {c!r}")
+        return Labeling(tuple(_label_int(v) for v in c), _label_int(tau))
+
+
+def _label_int(value) -> int:
+    """An integer label from JSON: an int that is not a bool, or a decimal string."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise ValueError(
+        f"labeling JSON: a label must be an integer or a decimal string, not {value!r}"
+    )
 
 
 def algorithm1_labels(b: BuildingString) -> Labeling:
@@ -253,7 +272,7 @@ def t2_feasibility(h: Hypergraph, guard: bool = True) -> FeasibilityVerdict:
     """
     if h.k is None:
         raise ValueError("feasibility needs a k-uniform hypergraph")
-    nsub = _count_subsets(h.n, h.k)
+    nsub = comb(h.n, h.k)
     if guard and nsub > FEASIBILITY_GUARD:
         raise GuardExceeded(
             f"{nsub} k-subsets exceed the feasibility guard of {FEASIBILITY_GUARD}"
@@ -280,12 +299,6 @@ def t2_feasibility(h: Hypergraph, guard: bool = True) -> FeasibilityVerdict:
     c = tuple(int(v) for v in scaled[: h.n])
     tau = int(scaled[h.n])
     return FeasibilityVerdict(True, Labeling(c, tau))
-
-
-def _count_subsets(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k) if n >= k else 0
 
 
 def _fourier_motzkin(

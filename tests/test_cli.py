@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from antiregular.cli import main
+from antiregular.sweep import default_workers
 
 
 @pytest.fixture
@@ -177,6 +178,21 @@ class TestVerifyT2:
         assert res.exit_code == 1
         assert json.loads(res.stdout) == {"holds": False, "witness": [1, 2, 3]}
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            {"c": [0.9, 0.9, 0.9], "tau": 0},  # once truncated to zeros: a false witness
+            {"c": "999", "tau": "0"},  # once read as three labels: a false pass
+        ],
+    )
+    def test_labels_that_need_casting_are_usage_errors(self, runner, tmp_path, labels):
+        hpath = write_json(tmp_path, "h.json", {"k": 3, "n": 3, "edges": [[1, 2, 3]]})
+        lpath = write_json(tmp_path, "lab.json", labels)
+        res = invoke(runner, "verify-t2", "--file", hpath, "--labels", lpath)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "labeling JSON" in res.stderr
+
 
 class TestVerifyT3:
     def test_holds(self, runner, tmp_path):
@@ -282,3 +298,13 @@ class TestSweep:
         assert serial.stdout == parallel.stdout
         repeat = invoke(runner, "sweep", "--k-max", "3", "--n-max", "7", env={"NUM_WORKERS": "2"})
         assert repeat.stdout == parallel.stdout
+
+    def test_non_integer_num_workers_is_usage_error(self, runner):
+        res = invoke(runner, "sweep", "--k-max", "3", "--n-max", "5", env={"NUM_WORKERS": "abc"})
+        assert res.exit_code == 2
+        assert "NUM_WORKERS must be an integer, not 'abc'" in res.stderr
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_num_workers_below_one_clamps_to_one(self, monkeypatch, value):
+        monkeypatch.setenv("NUM_WORKERS", value)
+        assert default_workers() == 1

@@ -1,9 +1,11 @@
 from collections import Counter
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antiregular import (
     BuildingString,
@@ -280,3 +282,31 @@ class TestRecognize:
         assert again is not None
         assert build_hypergraph(again) == h
         assert again.bits == b.bits
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_matches_exhaustive_search(self, data):
+        k = data.draw(st.integers(2, 4), label="k")
+        n = data.draw(st.integers(1, 8), label="n")
+        built = sorted((bits, h) for h, bits in all_built(n, k).items())
+        bits, h = data.draw(st.sampled_from(built), label="built")
+        if n >= k and data.draw(st.booleans(), label="toggle"):
+            # a near miss: one k-subset added or removed
+            sub = data.draw(st.sampled_from(list(combinations(range(1, n + 1), k))))
+            h = Hypergraph(n, h.edges ^ {sub}, k)
+            bits = all_built(n, k).get(h)
+        b = recognize_zero_one_constructable(h)
+        assert (b.bits if b is not None else None) == bits
+
+
+@lru_cache(maxsize=None)
+def all_built(n: int, k: int) -> dict[Hypergraph, str]:
+    """Every hypergraph some length-n building string builds, with its string."""
+    out = {}
+    for word in product("01", repeat=n):
+        try:
+            b = BuildingString("".join(word), k)
+        except ValueError:
+            continue  # a 1 before position k
+        out[build_hypergraph(b)] = b.bits
+    return out

@@ -86,6 +86,29 @@ class TestAlgorithm1:
         assert again == lab
         assert lab.to_json()["tau"] == "223"
 
+    def test_json_accepts_ints_and_decimal_strings(self):
+        assert Labeling.from_json({"c": [3, "-4", "007"], "tau": "-0"}) == Labeling((3, -4, 7), 0)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"c": [0.9, 0.9, 0.9], "tau": 0},
+            {"c": "999", "tau": "0"},
+            {"c": [True, 1], "tau": 0},
+            {"c": [1, 2], "tau": 1.0},
+            {"c": ["1.5"], "tau": "0"},
+            {"c": [" 1"], "tau": "0"},
+            {"c": ["1_000"], "tau": "0"},
+            {"c": ["+1"], "tau": "0"},
+            {"c": [None], "tau": "0"},
+            {"c": [1]},
+            [1, 2],
+        ],
+    )
+    def test_json_refuses_what_it_would_truncate(self, obj):
+        with pytest.raises(ValueError):
+            Labeling.from_json(obj)
+
 
 class TestVerifyT2:
     def test_auto_labels_hold(self):
