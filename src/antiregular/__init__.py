@@ -9,13 +9,10 @@ from .hypergraph import (
     build_hypergraph,
     complement_uniform,
     degree_sequence,
-    delete_vertex,
     disjoint_union,
     edgeless,
-    hide_vertex,
     hypergraph_from_json,
     hypergraph_to_json,
-    prune_supersets,
     recognize_zero_one_constructable,
     zykov_k_sum,
 )

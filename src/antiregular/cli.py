@@ -335,13 +335,10 @@ def feasible_t2_cmd(file, fmt, unsafe_no_guard) -> None:
 @main.command()
 @click.option("--file", required=True, help="Hypergraph JSON file.")
 @_format_option
-@_noguard_option
 @_translate_errors
-def recognize(file, fmt, unsafe_no_guard) -> None:
+def recognize(file, fmt) -> None:
     """Recover a building string, or report that none exists."""
-    _warn_noguard(unsafe_no_guard)
-    h = _load_hypergraph(file)
-    b = recognize_zero_one_constructable(h, guard=not unsafe_no_guard)
+    b = recognize_zero_one_constructable(_load_hypergraph(file))
     if b is None:
         _emit({"constructable": False, "string": None}, fmt, ["not constructable"])
         sys.exit(1)

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import GuardExceeded
-
 Edge = tuple[int, ...]
-
-RECOGNIZE_GUARD = 20
 
 
 @dataclass(frozen=True)
@@ -46,23 +42,12 @@ class BuildingString:
     def n(self) -> int:
         return len(self.bits)
 
-    def __len__(self) -> int:
-        return len(self.bits)
-
     def __str__(self) -> str:
         return self.bits
-
-    def bit(self, i: int) -> int:
-        """Bit at 1-based position i."""
-        return int(self.bits[i - 1])
 
     @property
     def dominating_positions(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.bits, start=1) if b == "1")
-
-    @property
-    def isolated_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bits, start=1) if b == "0")
 
     def is_antiregular(self) -> bool:
         """True when the word matches the alternating antiregular pattern."""
@@ -107,9 +92,6 @@ class Hypergraph:
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     def edge_masks(self) -> list[int]:
         """Edges as bitmasks (vertex v -> bit v-1), in increasing order."""
@@ -200,58 +182,6 @@ def zykov_k_sum(h1: Hypergraph, h2: Hypergraph, k: int) -> Hypergraph:
     return Hypergraph(base.n, frozenset(cross), uniform)
 
 
-def delete_vertex(h: Hypergraph, v: int) -> Hypergraph:
-    """Remove v and every edge through it; higher labels shift down by one."""
-    if not 1 <= v <= h.n:
-        raise ValueError(f"vertex {v} not in 1..{h.n}")
-    edges = frozenset(
-        tuple(w - 1 if w > v else w for w in e) for e in h.edges if v not in e
-    )
-    return Hypergraph(h.n - 1, edges, h.k)
-
-
-def hide_vertex(h: Hypergraph, v: int, prune: bool = True) -> Hypergraph:
-    """Remove v from the vertex set and from each edge through it.
-
-    Shrunken edges may collide (collapsed) or become empty (the empty edge
-    is kept: it makes every subset dependent).  With prune=True edges that
-    strictly contain another edge are dropped, which leaves the family of
-    independent sets unchanged.
-    """
-    if not 1 <= v <= h.n:
-        raise ValueError(f"vertex {v} not in 1..{h.n}")
-    shrunk = frozenset(
-        tuple(w - 1 if w > v else w for w in e if w != v) for e in h.edges
-    )
-    if prune:
-        shrunk = prune_supersets(shrunk)
-    sizes = {len(e) for e in shrunk}
-    if not sizes:
-        k = h.k
-    elif len(sizes) == 1 and (size := sizes.pop()) > 0:
-        k = size
-    else:
-        k = None
-    return Hypergraph(h.n - 1, shrunk, k)
-
-
-def prune_supersets(edges: frozenset[Edge]) -> frozenset[Edge]:
-    """Drop every edge that strictly contains another edge of the family."""
-    edge_set = set(edges)
-    kept = set()
-    for e in edges:
-        # proper subsets only; sizes here stay small, so the powerset scan
-        # beats pairwise containment tests
-        if any(
-            f in edge_set
-            for size in range(len(e))
-            for f in combinations(e, size)
-        ):
-            continue
-        kept.add(e)
-    return frozenset(kept)
-
-
 def degree_sequence(h: Hypergraph) -> tuple[int, ...]:
     """Vertex degrees in label order 1..n."""
     counts = [0] * h.n
@@ -261,9 +191,7 @@ def degree_sequence(h: Hypergraph) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def recognize_zero_one_constructable(
-    h: Hypergraph, guard: bool = True
-) -> BuildingString | None:
+def recognize_zero_one_constructable(h: Hypergraph) -> BuildingString | None:
     """Recover the building string of h, or None when no construction exists.
 
     In a built hypergraph a k-subset is an edge exactly when its largest
@@ -276,10 +204,10 @@ def recognize_zero_one_constructable(
     """
     if h.k is None:
         raise ValueError("recognition needs a k-uniform hypergraph")
-    if guard and h.n > RECOGNIZE_GUARD:
-        raise GuardExceeded(
-            f"recognition on {h.n} vertices exceeds the guard of {RECOGNIZE_GUARD}"
-        )
+    if h.n < 1:
+        raise ValueError("recognition needs at least one vertex")
+    if h.k < 2:
+        raise ValueError(f"recognition needs k >= 2, not k={h.k}")
     tops = {e[-1] for e in h.edges}
     if len(h.edges) != sum(comb(p - 1, h.k - 1) for p in tops):
         return None

@@ -47,16 +47,15 @@ def ipoly_bruteforce(h: Hypergraph, guard: bool = True) -> Poly:
     return Poly(kernels.independence_counts(h.n, h.edge_masks()))
 
 
-def ipoly_trinks(h: Hypergraph, guard: bool = True, prune: bool = True) -> Poly:
+def ipoly_trinks(h: Hypergraph, guard: bool = True) -> Poly:
     """Vertex deletion/hiding recursion on edge bitmasks, memoized per call.
 
     Pivot is the highest-labelled vertex v = n, so neither branch needs to
-    relabel: deletion drops the edges through v, hiding shrinks them.  With
-    prune=True the family is kept free of edges that contain another edge,
-    which canonicalizes memo keys.  The input is pruned once on entry;
-    after that only an unshrunk edge can contain a shrunk one, so hiding
-    tests just the unshrunk edges against the shrunk set.  prune=False is
-    kept so the equivalence of the two is testable.
+    relabel: deletion drops the edges through v, hiding shrinks them.  The
+    family is kept free of edges that contain another edge, which canonicalizes
+    memo keys.  The input is pruned once on entry; after that only an unshrunk
+    edge can contain a shrunk one, so hiding tests just the unshrunk edges
+    against the shrunk set.
     """
     if guard and h.n > TRINKS_GUARD:
         raise GuardExceeded(
@@ -65,7 +64,7 @@ def ipoly_trinks(h: Hypergraph, guard: bool = True, prune: bool = True) -> Poly:
     masks = h.edge_masks()
     if masks and masks[0] == 0:
         return ZERO  # the empty edge makes every subset dependent
-    if prune and h.k is None:  # a uniform family has nothing to prune
+    if h.k is None:  # a uniform family has nothing to prune
         members = set(masks)
         masks = [m for m in masks if not _contains_member(m, members)]
     memo: dict[tuple[int, tuple[int, ...]], list[int]] = {}
@@ -87,15 +86,12 @@ def ipoly_trinks(h: Hypergraph, guard: bool = True, prune: bool = True) -> Poly:
             out = count(n - 1, deleted) + [0]
         else:
             shrunk = [m ^ top for m in family[cut:]]
-            if prune:
-                members = set(shrunk)
-                # m & (m-1), m's first submask, is tried inline: the usual hit
-                hidden = shrunk + [
-                    m for m in deleted
-                    if m & (m - 1) not in members and not _contains_member(m, members)
-                ]
-            else:
-                hidden = set(shrunk).union(deleted)
+            members = set(shrunk)
+            # m & (m-1), m's first submask, is tried inline: the usual hit
+            hidden = shrunk + [
+                m for m in deleted
+                if m & (m - 1) not in members and not _contains_member(m, members)
+            ]
             with_v = count(n - 1, tuple(sorted(hidden)))
             out = [a + b for a, b in zip(count(n - 1, deleted) + [0], [0] + with_v)]
         memo[key] = out

@@ -268,7 +268,8 @@ def t2_feasibility(h: Hypergraph, guard: bool = True) -> FeasibilityVerdict:
     edge margin at least 1, so the system used is sum(S) >= tau + 1 on edges
     and sum(S) <= tau on non-edges.  A feasible system yields a rational
     point which is cleared to integers (scaling preserves both inequality
-    families), so the witness is checkable by verify_t2.
+    families), so the witness is checkable by verify_t2.  guard=False
+    lifts both the k-subset guard and the elimination's row cap.
     """
     if h.k is None:
         raise ValueError("feasibility needs a k-uniform hypergraph")
@@ -291,7 +292,7 @@ def t2_feasibility(h: Hypergraph, guard: bool = True) -> FeasibilityVerdict:
                 a[v - 1] = 1
             a[h.n] = -1
             rows.append((tuple(a), 0))
-    point = _fourier_motzkin(rows, nvars)
+    point = _fourier_motzkin(rows, nvars, guard)
     if point is None:
         return FeasibilityVerdict(False)
     mult = lcm(*(v.denominator for v in point)) if point else 1
@@ -302,7 +303,7 @@ def t2_feasibility(h: Hypergraph, guard: bool = True) -> FeasibilityVerdict:
 
 
 def _fourier_motzkin(
-    rows: list[tuple[tuple[int, ...], int]], nvars: int
+    rows: list[tuple[tuple[int, ...], int]], nvars: int, guard: bool
 ) -> list[Fraction] | None:
     """Solve a·x <= b over the rationals; a solution vector or None.
 
@@ -344,7 +345,7 @@ def _fourier_motzkin(
                     return None
                 if row is not None:
                     new.add(row)
-                if len(new) > _FM_ROW_CAP:
+                if guard and len(new) > _FM_ROW_CAP:
                     raise GuardExceeded("elimination blow-up; instance too irregular")
         system = new
         remaining.remove(var)

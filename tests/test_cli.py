@@ -268,6 +268,15 @@ class TestRecognize:
         assert res.exit_code == 1
         assert json.loads(res.stdout)["constructable"] is False
 
+    def test_thirty_vertices(self, runner, tmp_path):
+        string = "00" + "1101" * 7
+        build_res = invoke(runner, "build", "--string", string, "--k", "3")
+        path = tmp_path / "h30.json"
+        path.write_text(build_res.stdout)
+        res = invoke(runner, "recognize", "--file", str(path), "--format", "text")
+        assert res.exit_code == 0
+        assert res.stdout == string + "\n"
+
 
 class TestLogconcave:
     def test_sweep(self, runner):

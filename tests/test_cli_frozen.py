@@ -6,7 +6,8 @@ that is meant to alter an output regenerates them with
 
     PYTHONPATH=src python tests/test_cli_frozen.py --write
 
-and says so in its change notes.
+which prints every case id it added, removed or changed, and says so in
+its change notes.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ FILES = {
     "bad.json": {"k": 2, "n": 3, "edges": [[1.7, 2], [True, 3]]},
     "tri.json": {"k": 3, "n": 3, "edges": [[1, 2, 3]]},
     "big21.json": {"k": 3, "n": 21, "edges": []},
+    "empty.json": {"k": 3, "n": 0, "edges": []},
+    "k1.json": {"k": 1, "n": 2, "edges": [[2]]},
     "big31.json": {"k": 3, "n": 31, "edges": []},
     "big41.json": {"k": 3, "n": 41, "edges": []},
     "lab.json": {"c": ["-2", "-1", "0", "1", "2"], "tau": "0"},
@@ -87,8 +90,9 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
     (["recognize", "--file", "s4.json"], {}),  # 1
     (["recognize", "--file", "h1.json", "--format", "text"], {}),  # 1
     (["recognize", "--file", "mixed.json"], {}),  # 2
-    (["recognize", "--file", "big21.json"], {}),  # 3
-    (["recognize", "--file", "big21.json", "--unsafe-no-guard"], {}),
+    (["recognize", "--file", "big21.json"], {}),
+    (["recognize", "--file", "empty.json"], {}),  # 2
+    (["recognize", "--file", "k1.json"], {}),  # 2
     (["sweep", "--k-max", "3", "--n-max", "7"], ONE_WORKER),
     (["sweep", "--k-max", "3", "--n-max", "7", "--format", "text"], ONE_WORKER),
     (["sweep", "--k-max", "1", "--n-max", "7"], ONE_WORKER),  # 2
@@ -129,5 +133,13 @@ if __name__ == "__main__":
         sys.exit("usage: test_cli_frozen.py --write")
     with tempfile.TemporaryDirectory() as tmp:
         records = {case_id(a, e): run_case(a, e, Path(tmp)) for a, e in CASES}
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    for cid in sorted(old.keys() | records.keys()):
+        if cid not in old:
+            print(f"added:   {cid}")
+        elif cid not in records:
+            print(f"removed: {cid}")
+        elif old[cid] != records[cid]:
+            print(f"changed: {cid}")
     FIXTURE.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(records)} cases to {FIXTURE}")

@@ -2,7 +2,6 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from antiregular import (
     GuardExceeded,
@@ -80,21 +79,16 @@ class TestTrinks:
     def test_matches_brute_force(self, h):
         assert ipoly_trinks(h) == ipoly_bruteforce(h)
 
-    @given(mixed_hypergraphs(), st.booleans())
+    @given(mixed_hypergraphs())
     @settings(max_examples=150)
-    def test_non_uniform_matches_brute_force(self, h, prune):
-        assert ipoly_trinks(h, prune=prune) == ipoly_bruteforce(h)
-
-    @given(uniform_hypergraphs(max_n=7))
-    @settings(max_examples=60)
-    def test_pruning_does_not_change_result(self, h):
-        assert ipoly_trinks(h, prune=True) == ipoly_trinks(h, prune=False)
+    def test_non_uniform_matches_brute_force(self, h):
+        assert ipoly_trinks(h) == ipoly_bruteforce(h)
 
     @given(building_strings(max_n=12))
     @settings(max_examples=40)
     def test_pruning_equivalence_on_strings(self, b):
         h = build_hypergraph(b)
-        assert ipoly_trinks(h, prune=True) == ipoly_trinks(h, prune=False)
+        assert ipoly_trinks(h) == ipoly_bruteforce(h)
 
 
 class TestRecurrence:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -247,6 +249,24 @@ class TestFeasibility:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             t2_feasibility(edgeless(40, 5))
+
+    def test_no_guard_lifts_the_row_cap(self, monkeypatch):
+        import antiregular.threshold as mod
+
+        monkeypatch.setattr(mod, "_FM_ROW_CAP", 5)
+        c = (-2, 4, 3, -3, 0, 4)
+        sums = Hypergraph(
+            6,
+            frozenset(s for s in combinations(range(1, 7), 3) if sum(c[v - 1] for v in s) > 4),
+            3,
+        )
+        infeasible = Hypergraph(5, frozenset([(1, 2, 3), (1, 3, 4), (2, 3, 5), (3, 4, 5)]), 3)
+        for h in (sums, infeasible):
+            with pytest.raises(GuardExceeded):
+                t2_feasibility(h)
+        verdict = t2_feasibility(sums, guard=False)
+        assert verdict.feasible and verify_t2(sums, verdict.labeling).holds
+        assert not t2_feasibility(infeasible, guard=False).feasible
 
     @given(building_strings(max_n=7))
     @settings(max_examples=25, deadline=None)
