@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
+from operator import add
 
 Edge = tuple[int, ...]
 
@@ -89,6 +90,22 @@ class Hypergraph:
             if bad is not None:
                 raise ValueError(f"edge {bad!r} breaks {self.k}-uniformity")
 
+    @classmethod
+    def _unchecked(cls, n: int, edges: frozenset[Edge], k: int) -> "Hypergraph":
+        """A k-uniform hypergraph whose edges skip __post_init__'s checks.
+
+        Only build_hypergraph calls this.  Its invariant: every edge is a
+        strictly increasing k-tuple inside 1..n, because it is a
+        (k-1)-subset of 1..pos-1, in combinations order, followed by a
+        position pos <= n.  Those are the normal form and the range that
+        __post_init__ would otherwise re-sort and re-check edge by edge.
+        """
+        h = object.__new__(cls)
+        object.__setattr__(h, "n", n)
+        object.__setattr__(h, "edges", edges)
+        object.__setattr__(h, "k", k)
+        return h
+
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -130,12 +147,12 @@ def antiregular_string(n: int, k: int, connected: bool) -> BuildingString:
 def build_hypergraph(b: BuildingString) -> Hypergraph:
     """Run the construction a building string encodes."""
     k = b.k
-    edges: list[Edge] = []
-    for pos, ch in enumerate(b.bits, start=1):
-        if ch == "1":
-            for s in combinations(range(1, pos), k - 1):
-                edges.append(s + (pos,))
-    return Hypergraph(b.n, frozenset(edges), k)
+    # collected in a set, not a list: a frozenset copied from a set is sized
+    # to its contents, one grown from a list can hold twice the table
+    edges: set[Edge] = set()
+    for pos in b.dominating_positions:
+        edges.update(map(add, combinations(range(1, pos), k - 1), repeat((pos,))))
+    return Hypergraph._unchecked(b.n, frozenset(edges), k)
 
 
 def complement_uniform(h: Hypergraph) -> Hypergraph:

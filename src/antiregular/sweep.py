@@ -12,6 +12,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
+from math import comb
 from typing import Iterator
 
 from .hypergraph import BuildingString, antiregular_string, build_hypergraph
@@ -69,13 +70,28 @@ class SweepReport:
         return not self.failures
 
 
-def _run_task(task: tuple[str, int, int]) -> tuple[str, int, list[str]]:
+def _task_instances(task: tuple[str, int, int]) -> int:
+    """Instances a task checks: antiregular variants, or constructable strings.
+
+    A constructable string of length n >= k puts its first 1-bit at some
+    f in k..n and leaves the n-f later bits free: 2^(n-k+1) - 1 strings.
+    """
     kind, k, n = task
     if kind == "agree":
-        count = 1 if n < k else 2
-        return kind, count, antiregular_agreement_failures(k, n)
-    count = sum(1 for _ in constructable_strings(k, n))
-    return kind, count, t2_soundness_failures(k, n)
+        return 1 if n < k else 2
+    return 2 ** (n - k + 1) - 1
+
+
+def _task_cost(task: tuple[str, int, int]) -> int:
+    """Work estimate for scheduling: instances times the k-subsets of each."""
+    _, k, n = task
+    return _task_instances(task) * comb(n, k)
+
+
+def _run_task(task: tuple[str, int, int]) -> tuple[str, int, list[str]]:
+    kind, k, n = task
+    check = antiregular_agreement_failures if kind == "agree" else t2_soundness_failures
+    return kind, _task_instances(task), check(k, n)
 
 
 def default_workers() -> int:
@@ -99,10 +115,14 @@ def run_sweep(k_max: int, n_max: int, workers: int | None = None) -> SweepReport
         workers = default_workers()
     tasks = [("agree", k, n) for k in range(2, k_max + 1) for n in range(1, n_max + 1)]
     tasks += [("t2", k, n) for k in range(2, k_max + 1) for n in range(k, n_max + 1)]
+    # largest first, so no worker is left alone with a big task at the end;
+    # the report does not depend on the order, since counts are summed and
+    # failures sorted
+    tasks.sort(key=_task_cost, reverse=True)
     report = SweepReport(k_max, n_max)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, tasks, chunksize=4))
+            results = list(pool.map(_run_task, tasks))
     else:
         results = [_run_task(t) for t in tasks]
     for kind, count, fails in results:

@@ -19,8 +19,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from math import comb, gcd, lcm
+from operator import lt, ne
 
 from .errors import GuardExceeded
 from .hypergraph import BuildingString, Edge, Hypergraph
@@ -127,12 +128,15 @@ def verify_t2(h: Hypergraph, labeling: Labeling, guard: bool = True) -> T2Verdic
         raise GuardExceeded(
             f"threshold check on {h.n} vertices exceeds the guard of {T2_GUARD}"
         )
-    c, tau = labeling.c, labeling.tau
-    for sub in combinations(h.vertices, h.k):
-        above = sum(c[v - 1] for v in sub) > tau
-        if above != (sub in h.edges):
-            return T2Verdict(False, sub)
-    return T2Verdict(True)
+    # Label sums and edge membership stream in lockstep, both in the
+    # lexicographic order of combinations, so no k-subset is ever stored.
+    # lt(tau, s), not tau.__lt__: that answers NotImplemented (truthy) when
+    # a label is, say, a Fraction.
+    k = h.k
+    above = map(lt, repeat(labeling.tau), map(sum, combinations(labeling.c, k)))
+    is_edge = map(h.edges.__contains__, combinations(h.vertices, k))
+    witness = next(compress(combinations(h.vertices, k), map(ne, above, is_edge)), None)
+    return T2Verdict(witness is None, witness)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from antiregular import Labeling, run_sweep, sweep
 from antiregular.cli import main
 from antiregular.sweep import default_workers
 
@@ -307,6 +308,16 @@ class TestSweep:
         assert serial.stdout == parallel.stdout
         repeat = invoke(runner, "sweep", "--k-max", "3", "--n-max", "7", env={"NUM_WORKERS": "2"})
         assert repeat.stdout == parallel.stdout
+
+    def test_failures_merge_the_same_for_any_worker_count(self, monkeypatch):
+        # forked workers inherit the patch; every labelling is off by one
+        labels = sweep.algorithm1_labels
+        monkeypatch.setattr(
+            sweep, "algorithm1_labels", lambda b: Labeling(labels(b).c, labels(b).tau + 1)
+        )
+        serial, parallel = run_sweep(3, 8, 1), run_sweep(3, 8, 2)
+        assert serial == parallel
+        assert serial.failures and serial.failures == sorted(serial.failures)
 
     def test_non_integer_num_workers_is_usage_error(self, runner):
         res = invoke(runner, "sweep", "--k-max", "3", "--n-max", "5", env={"NUM_WORKERS": "abc"})

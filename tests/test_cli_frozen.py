@@ -1,7 +1,9 @@
-"""Frozen CLI outputs: stdout and exit code of fixed invocations, byte for byte.
+"""Frozen CLI outputs: stdout, stderr and exit code of fixed invocations, byte for byte.
 
 Every command appears in json and text form, with exit 1, 2 and 3 cases.
-The expected outputs live in frozen_cli.json next to this file.  A change
+The expected outputs live in frozen_cli.json next to this file.  Input
+files are written to a fresh directory per run, so its path reads as
+``<tmp>`` in the recorded stderr.  A change
 that is meant to alter an output regenerates them with
 
     PYTHONPATH=src python tests/test_cli_frozen.py --write
@@ -109,7 +111,8 @@ def run_case(args: list[str], env: dict[str, str], where: Path) -> dict:
     res = CliRunner().invoke(main, [str(where / a) if a in FILES else a for a in args], env=env)
     if res.exception is not None and not isinstance(res.exception, SystemExit):
         raise res.exception
-    return {"exit_code": res.exit_code, "stdout": res.stdout}
+    stderr = res.stderr.replace(str(where), "<tmp>")
+    return {"exit_code": res.exit_code, "stdout": res.stdout, "stderr": stderr}
 
 
 @pytest.fixture(scope="module")

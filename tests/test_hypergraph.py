@@ -94,6 +94,15 @@ class TestBuild:
         h = build_hypergraph(BuildingString("0101", 2))
         assert h.edges == frozenset([(1, 2), (1, 4), (2, 4), (3, 4)])
 
+    @given(building_strings(max_n=14))
+    @settings(max_examples=150)
+    def test_edges_pass_the_checked_constructor_unchanged(self, b):
+        # build_hypergraph skips __post_init__, so the validating constructor
+        # is what would notice an unsorted, repeated or out-of-range edge
+        h = build_hypergraph(b)
+        assert Hypergraph(h.n, h.edges, h.k) == h
+        assert len(h.edges) == sum(comb(p - 1, b.k - 1) for p in b.dominating_positions)
+
 
 class TestHypergraphType:
     def test_validation(self):

@@ -1,23 +1,62 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antiregular import (
     BuildingString,
     GuardExceeded,
     Hypergraph,
     Labeling,
+    T2Verdict,
     algorithm1_labels,
     build_hypergraph,
     check_label_monotonicity,
+    constructable_strings,
     edgeless,
     intervals,
     t2_feasibility,
     verify_t2,
     verify_t3,
 )
-from conftest import building_strings
+from conftest import building_strings, uniform_hypergraphs
+
+
+def scan_t2(h, labeling):
+    """Reference: test every k-subset in turn; the first offending one or None."""
+    c, tau = labeling.c, labeling.tau
+    for sub in combinations(h.vertices, h.k):
+        if (sum(c[v - 1] for v in sub) > tau) != (sub in h.edges):
+            return sub
+    return None
+
+
+def shifted(lab, at, by, tau_by):
+    """lab with label `at` (0-based, or None for none) moved by `by`, tau by `tau_by`."""
+    c = list(lab.c)
+    if at is not None:
+        c[at] += by
+    return Labeling(tuple(c), lab.tau + tau_by)
+
+
+@st.composite
+def built_with_near_labels(draw):
+    """A built hypergraph and its Algorithm-1 labels, one label or tau nudged."""
+    b = draw(building_strings(max_n=10))
+    at = draw(st.none() | st.integers(0, b.n - 1))
+    by = draw(st.sampled_from([-2, -1, 1, 2]))
+    tau_by = draw(st.sampled_from([-1, 0, 1]))
+    return build_hypergraph(b), shifted(algorithm1_labels(b), at, by, tau_by)
+
+
+@st.composite
+def uniform_with_labels(draw):
+    h = draw(uniform_hypergraphs(max_k=5, max_n=8))
+    c = draw(st.lists(st.integers(-4, 6), min_size=h.n, max_size=h.n))
+    return h, Labeling(tuple(c), draw(st.integers(-3, 12)))
+
 
 H1 = Hypergraph(5, frozenset([(1, 4, 5), (2, 3, 5), (2, 4, 5), (3, 4, 5)]), 3)
 H2 = Hypergraph(5, frozenset([(1, 2, 3), (1, 3, 4), (2, 3, 5), (3, 4, 5)]), 3)
@@ -138,6 +177,45 @@ class TestVerifyT2:
         with pytest.raises(GuardExceeded):
             verify_t2(big, Labeling((0,) * 25, 3))
         assert verify_t2(big, Labeling((0,) * 25, 3), guard=False).holds
+
+    def test_fraction_labels_compare_by_value(self):
+        # int.__lt__(Fraction) is NotImplemented, which is truthy
+        halves = Labeling((Fraction(1, 2),) * 3, 2)
+        assert verify_t2(edgeless(3, 3), halves).holds
+        tri = Hypergraph(3, frozenset([(1, 2, 3)]), 3)
+        assert verify_t2(tri, halves) == T2Verdict(False, (1, 2, 3))
+        assert verify_t2(tri, Labeling((Fraction(1, 2),) * 3, 1)).holds
+
+    @given(built_with_near_labels())
+    @settings(max_examples=300)
+    def test_matches_scan_on_nudged_algorithm1_labels(self, case):
+        h, lab = case
+        w = scan_t2(h, lab)
+        assert verify_t2(h, lab) == T2Verdict(w is None, w)
+
+    @given(uniform_with_labels())
+    @settings(max_examples=300)
+    def test_matches_scan_on_random_labels(self, case):
+        h, lab = case
+        w = scan_t2(h, lab)
+        assert verify_t2(h, lab) == T2Verdict(w is None, w)
+
+    def test_nudges_reach_both_kinds_of_witness(self):
+        # every single-label nudge of every constructable string, k 2-4, n <= 7
+        kinds = set()
+        for k in range(2, 5):
+            for n in range(k, 8):
+                for bits in constructable_strings(k, n):
+                    b = BuildingString(bits, k)
+                    h, lab = build_hypergraph(b), algorithm1_labels(b)
+                    for at in range(n):
+                        for by in (-2, -1, 1, 2):
+                            nudged = shifted(lab, at, by, 0)
+                            w = scan_t2(h, nudged)
+                            assert verify_t2(h, nudged) == T2Verdict(w is None, w)
+                            if w is not None:
+                                kinds.add(w in h.edges)
+        assert kinds == {True, False}  # an edge at or below tau, a non-edge above
 
 
 class TestVerifyT3:
