@@ -24,6 +24,7 @@ from .ipoly import (
     ipoly_bruteforce,
     ipoly_k3_closed,
     ipoly_semiclosed,
+    ipoly_string,
     ipoly_trinks,
     is_log_concave,
     solve_alpha,

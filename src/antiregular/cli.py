@@ -32,6 +32,7 @@ from .ipoly import (
     ipoly_bruteforce,
     ipoly_k3_closed,
     ipoly_semiclosed,
+    ipoly_string,
     ipoly_trinks,
     is_log_concave,
     structural_routes,
@@ -206,7 +207,7 @@ def logconcave(string, k, max_n, fmt) -> None:
     witnesses = []
     checked = 0
     if string is not None:
-        p = ipoly_trinks(build_hypergraph(BuildingString(string, k)))
+        p = ipoly_string(BuildingString(string, k))
         checked += 1
         report = is_log_concave(p)
         if not report.holds:

@@ -5,10 +5,11 @@ x^|W|.  The routes, in increasing order of structure they assume:
 
   * brute force          any hypergraph, subset enumeration
   * deletion recursion   any hypergraph, I(H) = I(H-v) + x I(H~v)
-  * two-term recurrence  antiregular hypergraphs only
+  * two-term recurrence  antiregular hypergraphs only: ipoly_string's fold
+                         over a building string, run on the antiregular one
   * closed form          antiregular hypergraphs with k = 3 only
   * semi-closed form     antiregular hypergraphs, binomial bracket plus a
-                         per-level correction table
+                         per-level correction row
 
 All five must agree wherever more than one applies; the test suite, the
 sweep and `ipoly --method all` enforce that.  structural_routes() lists the
@@ -19,13 +20,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from . import kernels
 from .errors import GuardExceeded
-from .hypergraph import Hypergraph
-from .polynomial import ZERO, Poly, one_plus_x_pow
+from .hypergraph import BuildingString, Hypergraph, antiregular_string
+from .polynomial import ONE, ZERO, Poly, one_plus_x_pow
 
 BRUTE_FORCE_GUARD = 24
 TRINKS_GUARD = 40
@@ -116,6 +116,20 @@ def _contains_member(m: int, family: set[int]) -> bool:
     return any(f & m == f and f != m for f in family)
 
 
+def ipoly_string(b: BuildingString) -> Poly:
+    """I(H;x) of the hypergraph b builds, by one fold over the string.
+
+    An edge's top vertex is a 1-bit, and every k-subset whose top is the
+    1-bit p is an edge.  So the independent sets that contain p are exactly
+    {p} | S, S any set of at most k-2 earlier vertices: a 1-bit adds
+    sum_{i=0}^{k-2} C(p-1, i) x^(i+1), and a 0-bit multiplies by 1+x.
+    """
+    poly = ONE
+    for pos, bit in enumerate(b.bits, start=1):
+        poly += _dominating_tail(pos - 1, b.k) if bit == "1" else poly.shifted(1)
+    return poly
+
+
 def ipoly_antiregular_recurrence(n: int, k: int, connected: bool) -> Poly:
     """Two-term recurrence along the antiregular construction.
 
@@ -124,20 +138,11 @@ def ipoly_antiregular_recurrence(n: int, k: int, connected: bool) -> Poly:
 
         f_d(m) = (1+x) f_c(m-1)
         f_c(m) = f_d(m-1) + sum_{i=1}^{k-1} C(m-1, i-1) x^i
+
+    Folding ipoly_string over the alternating string is this recurrence:
+    a 0-bit is the f_d step, a 1-bit the f_c step.
     """
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if k < 2:
-        raise ValueError("edge size k must be at least 2")
-    fc: dict[int, Poly] = {}
-    fd: dict[int, Poly] = {}
-    for m in range(n + 1):
-        if m < k:
-            fc[m] = fd[m] = one_plus_x_pow(m)
-        else:
-            fd[m] = fc[m - 1] + fc[m - 1].shifted(1)
-            fc[m] = fd[m - 1] + _dominating_tail(m - 1, k)
-    return fc[n] if connected else fd[n]
+    return ipoly_string(antiregular_string(n, k, connected and n >= k))
 
 
 def _dominating_tail(m: int, k: int) -> Poly:
@@ -186,7 +191,7 @@ def structural_routes(n: int, k: int, connected: bool) -> dict[str, Poly]:
     return routes
 
 
-# ── per-level correction tables ─────────────────────────────────────────────
+# ── per-level correction rows ───────────────────────────────────────────────
 
 
 @dataclass(frozen=True)
@@ -210,63 +215,54 @@ class AlphaBetaTable:
     def value(self, level: int, i: int) -> int:
         return self.values[(level, i)]
 
-    def row(self, level: int) -> Poly:
-        """The correction polynomial sum_i values(level, i) x^i."""
-        return Poly([self.values[(level, i)] for i in range(self.k)])
 
+def _correction_row(k: int, level: int) -> tuple[int, ...]:
+    """value(level, i) for i = 0..k-1, in O(k^2) at any level.
 
-@lru_cache(maxsize=None)
-def _correction_table(k: int, parity: int, max_level: int) -> AlphaBetaTable:
-    """Solve the correction system top-down in i.
-
-    Boundary row: value(l, k-1) = C(l, k-2) at every level l of the
-    parity.  Descent: value(l, i-1) = value(l+2, i) - value(l, i)
-    + C(l+1, i-1), which consumes one extra level per step, so row i is
-    first computed out to max_level + 2(k-1-i) and trimmed afterwards.
-    The bottom row must come out level-independent; any drift there means
-    the solver itself is broken, hence the hard assertion.
+    Row k-1 is C(l, k-2) on levels level..level+2(k-1).  The descent
+    value(l, i-1) = value(l+2, i) - value(l, i) + C(l+1, i-1) uses one
+    level more than it yields, so k-1 steps leave just the value at level.
+    A tuple, not a Poly, which would strip the zeros C(l, k-2) has for small l.
     """
+    levels = range(level, level + 2 * k, 2)
+    run = [comb(l, k - 2) for l in levels]
+    row = [run[0]]
+    for i in range(k - 1, 0, -1):
+        run = [b - a + comb(l + 1, i - 1) for l, a, b in zip(levels, run, run[1:])]
+        row.append(run[0])
+    return tuple(reversed(row))
+
+
+def _correction_table(k: int, parity: int, n_max: int) -> AlphaBetaTable:
+    """Every correction row of one parity on levels up to 2*n_max + parity.
+
+    The bottom row must come out level-independent; any drift there means
+    the descent is broken, hence the hard assertion.
+    """
+    if n_max < (k + 1) // 2:
+        raise ValueError("n_max too small for the semi-closed range")
     if k < 2:
         raise ValueError("edge size k must be at least 2")
-    if parity not in (0, 1) or max_level % 2 != parity:
-        raise ValueError("level range must match the table parity")
-    ext = max_level + 2 * (k - 1)
-    rows: dict[int, dict[int, int]] = {
-        k - 1: {l: comb(l, k - 2) for l in range(parity, ext + 1, 2)}
-    }
-    top = ext
-    for i in range(k - 1, 0, -1):
-        top -= 2
-        prev = rows[i]
-        rows[i - 1] = {
-            l: prev[l + 2] - prev[l] + comb(l + 1, i - 1)
-            for l in range(parity, top + 1, 2)
-        }
-    if len(set(rows[0].values())) > 1:
+    max_level = 2 * n_max + parity
+    rows = {l: _correction_row(k, l) for l in range(parity, max_level + 1, 2)}
+    bottom = {l: row[0] for l, row in rows.items()}
+    if len(set(bottom.values())) > 1:
         raise AssertionError(
-            f"bottom correction row varies across levels for k={k}: {rows[0]}"
+            f"bottom correction row varies across levels for k={k}: {bottom}"
         )
-    values = {
-        (l, i): rows[i][l]
-        for i in range(k)
-        for l in range(parity, max_level + 1, 2)
-    }
+    values = {(l, i): v for l, row in rows.items() for i, v in enumerate(row)}
     kind = "alpha" if parity == 0 else "beta"
     return AlphaBetaTable(kind, k, max_level, values)
 
 
 def solve_alpha(k: int, n_max: int) -> AlphaBetaTable:
     """Even-level correction table covering levels 0..2*n_max."""
-    if n_max < (k + 1) // 2:
-        raise ValueError("n_max too small for the semi-closed range")
-    return _correction_table(k, 0, 2 * n_max)
+    return _correction_table(k, 0, n_max)
 
 
 def solve_beta(k: int, n_max: int) -> AlphaBetaTable:
     """Odd-level correction table covering levels 1..2*n_max+1."""
-    if n_max < (k + 1) // 2:
-        raise ValueError("n_max too small for the semi-closed range")
-    return _correction_table(k, 1, 2 * n_max + 1)
+    return _correction_table(k, 1, n_max)
 
 
 def ipoly_semiclosed(n: int, k: int, connected: bool) -> Poly:
@@ -277,7 +273,7 @@ def ipoly_semiclosed(n: int, k: int, connected: bool) -> Poly:
 
         (1+x)^((n - l0)/2) [ (1+x)^l0 + row(l0) ] - row(n)
 
-    where row() is the correction table of n's parity and l0 its anchor.
+    where row(l) is _correction_row(k, l) and l0 the anchor of n's parity.
     The connected polynomial adds a dominating vertex on top of the
     disconnected one a vertex earlier.
     """
@@ -297,9 +293,8 @@ def _semiclosed_disconnected(n: int, k: int) -> Poly:
         raise ValueError(
             f"semi-closed form needs at least {anchor} vertices at this parity"
         )
-    table = _correction_table(k, parity, n)
-    bracket = one_plus_x_pow(anchor) + table.row(anchor)
-    return one_plus_x_pow((n - anchor) // 2) * bracket - table.row(n)
+    bracket = one_plus_x_pow(anchor) + Poly(_correction_row(k, anchor))
+    return one_plus_x_pow((n - anchor) // 2) * bracket - Poly(_correction_row(k, n))
 
 
 # ── coefficient formulas and log-concavity ──────────────────────────────────

@@ -9,7 +9,6 @@ verification and the interval monotonicity check.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb
@@ -121,6 +120,7 @@ def run_sweep(k_max: int, n_max: int, workers: int | None = None) -> SweepReport
     tasks.sort(key=_task_cost, reverse=True)
     report = SweepReport(k_max, n_max)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # late: a cold CLI call skips it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
     else:

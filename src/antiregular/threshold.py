@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, compress, repeat
 from math import comb, gcd, lcm
 from operator import lt, ne
@@ -317,6 +316,7 @@ def _fourier_motzkin(
     eliminations backwards, assigning each variable a value between its
     tightest bounds.
     """
+    from fractions import Fraction  # late: a cold CLI call skips it
     system = set()
     for a, rhs in rows:
         row = _canonical_row(a, rhs)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from antiregular import Labeling, run_sweep, sweep
+import antiregular
+from antiregular import Labeling, antiregular_string, run_sweep, sweep
 from antiregular.cli import main
 from antiregular.sweep import default_workers
 
@@ -293,6 +298,30 @@ class TestLogconcave:
     def test_needs_some_input(self, runner):
         res = invoke(runner, "logconcave", "--k", "3")
         assert res.exit_code == 2
+
+    def test_string_has_no_size_guard(self, runner):
+        string = antiregular_string(60, 3, True).bits
+        res = invoke(runner, "logconcave", "--k", "3", "--string", string)
+        assert res.exit_code == 0
+        payload = json.loads(res.stdout)
+        assert payload["checked"] == 1 and payload["holds"] is True
+
+
+class TestColdStart:
+    def test_cli_import_skips_pool_and_fractions(self):
+        src = str(Path(antiregular.__file__).resolve().parents[1])
+        probe = (
+            "import sys, antiregular.cli; "
+            "print(sorted({'concurrent.futures', 'fractions'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestSweep:

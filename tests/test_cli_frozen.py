@@ -73,6 +73,7 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
     (["logconcave", "--k", "3", "--max-n", "12"], {}),
     (["logconcave", "--k", "3", "--string", "0010011", "--format", "text"], {}),
     (["logconcave", "--k", "3"], {}),  # 2
+    (["logconcave", "--k", "3", "--string", "00" + "10" * 20], {}),
     (["label", "--string", "0010100011101", "--k", "3"], {}),
     (["label", "--string", "0010100011101", "--k", "3", "--format", "text"], {}),
     (["label", "--string", "000", "--k", "3"], {}),  # 2

@@ -16,12 +16,14 @@ from antiregular import (
     ipoly_bruteforce,
     ipoly_k3_closed,
     ipoly_semiclosed,
+    ipoly_string,
     ipoly_trinks,
     is_log_concave,
     one_plus_x_pow,
     solve_alpha,
     solve_beta,
 )
+from antiregular.ipoly import _correction_row
 from antiregular.polynomial import ZERO, Poly
 from conftest import building_strings, mixed_hypergraphs, uniform_hypergraphs
 
@@ -112,6 +114,16 @@ class TestRecurrence:
                     1
                 ) * ipoly_antiregular_recurrence(n - 1, k, True)
 
+    @given(building_strings(max_n=12))
+    @settings(max_examples=80)
+    def test_string_fold_matches_brute_force(self, b):
+        assert ipoly_string(b) == ipoly_bruteforce(build_hypergraph(b))
+
+    def test_string_fold_on_zeros_is_binomial(self):
+        for k in (2, 3, 5):
+            for n in range(1, 15):
+                assert ipoly_string(BuildingString("0" * n, k)) == one_plus_x_pow(n)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ipoly_antiregular_recurrence(0, 3, False)
@@ -167,6 +179,14 @@ class TestCorrectionTables:
             t = solver(k, 20)
             assert len({t.value(level, 0) for level in t.levels}) == 1
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+    def test_rows_meet_boundary_and_descent(self, k):
+        for level in range(41):
+            row, up = _correction_row(k, level), _correction_row(k, level + 2)
+            assert len(row) == k and row[k - 1] == comb(level, k - 2), (k, level)
+            for i in range(1, k):
+                assert row[i - 1] == up[i] - row[i] + comb(level + 1, i - 1), (k, level, i)
+
     def test_n_max_validation(self):
         with pytest.raises(ValueError):
             solve_alpha(5, 2)
@@ -193,7 +213,7 @@ class TestSemiclosed:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_agrees_with_recurrence_wherever_defined(self, k):
         lowest = {}
-        for n in range(1, 17):
+        for n in range(1, 121):
             for connected in [False] if n < k else [False, True]:
                 try:
                     p = ipoly_semiclosed(n, k, connected)
