@@ -37,7 +37,7 @@ from .ipoly import (
     is_log_concave,
     structural_routes,
 )
-from .sweep import default_workers, run_sweep
+from .sweep import run_sweep
 from .threshold import Labeling, algorithm1_labels, t2_feasibility, verify_t2, verify_t3
 
 _format_option = click.option(
@@ -145,7 +145,8 @@ _METHODS = ["brute", "trinks", "recurrence", "closed", "semiclosed", "all"]
     type=click.Choice(_METHODS),
     default="all",
     show_default=True,
-    help="Computation method; 'all' runs every applicable one and cross-checks.",
+    help="Computation method; 'all' runs every applicable one and cross-checks, "
+    "skipping any its size guard refuses.",
 )
 @_format_option
 @_noguard_option
@@ -175,10 +176,19 @@ def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
             return ipoly_k3_closed(h.n, connected)
         return ipoly_semiclosed(h.n, h.k, connected)
 
+    refusals: dict[str, GuardExceeded] = {}
     if method == "all":
-        polys = {name: compute(name) for name in ("brute", "trinks")}
+        # the command fails only when no route answers, with the first refusal
+        polys = {}
+        for name in ("brute", "trinks"):
+            try:
+                polys[name] = compute(name)
+            except GuardExceeded as exc:
+                refusals[name] = exc
         if structural:
             polys.update(structural_routes(h.n, h.k, connected))
+        if not polys:
+            raise next(iter(refusals.values()))
     else:
         polys = {method: compute(method)}
     agree = len({p.coeffs for p in polys.values()}) == 1
@@ -189,6 +199,9 @@ def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
         "agree": agree,
     }
     lines = [f"{name}: {p}" for name, p in polys.items()] + [f"agree: {agree}"]
+    if refusals:
+        payload["skipped"] = {name: str(exc) for name, exc in refusals.items()}
+        lines += [f"skipped {name}: {exc}" for name, exc in refusals.items()]
     _emit(payload, fmt, lines)
     if not agree:
         sys.exit(1)
@@ -263,10 +276,7 @@ def verify_t2_cmd(string, k, file, labels, fmt, unsafe_no_guard) -> None:
             raise click.UsageError(
                 "auto labels require a building string; give --labels a file for --file input"
             )
-        if "1" in b.bits:
-            lab = algorithm1_labels(b)
-        else:
-            lab = Labeling((0,) * h.n, h.k)  # edgeless: nothing may exceed tau
+        lab = algorithm1_labels(b)
     else:
         try:
             lab = Labeling.from_json(Path(labels).read_text())
@@ -354,7 +364,7 @@ def recognize(file, fmt) -> None:
 @_translate_errors
 def sweep(k_max, n_max, fmt) -> None:
     """Exhaustive polynomial-agreement and labeling sweep (parallel)."""
-    report = run_sweep(k_max, n_max, workers=default_workers())
+    report = run_sweep(k_max, n_max)
     payload = {
         "k_max": report.k_max,
         "n_max": report.n_max,

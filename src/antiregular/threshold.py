@@ -1,12 +1,13 @@
 """Threshold labelings of {0,1}-constructable hypergraphs.
 
 A labeling (c, tau) realizes a k-uniform hypergraph as a sum threshold
-when a k-subset is an edge exactly if its label sum exceeds tau.  The
-label construction walks the building string: it starts from a fixed base
-at the first dominating vertex, gives each later dominating vertex the
-smallest label that tips its lightest edge over the threshold, and on each
-isolated vertex doubles everything and gives the newcomer the largest
-label that keeps every edge through it at or below the new threshold.
+when a k-subset is an edge exactly if its label sum exceeds tau.  In a
+built hypergraph a k-subset is an edge exactly when its top vertex is a
+1-bit, so the label construction walks the building string and sets only
+the k-subsets each newcomer tops: a dominating newcomer gets the smallest
+label that lifts all of them (the lightest one included) over tau, and an
+isolated newcomer doubles everything and gets the largest label that keeps
+all of them (the heaviest one included) at or below the new threshold.
 
 The comparability notion checked by verify_t3 is replacement order: x sits
 below y when swapping x out for y inside any edge through x (and avoiding
@@ -72,39 +73,28 @@ def _label_int(value) -> int:
 def algorithm1_labels(b: BuildingString) -> Labeling:
     """Labels and threshold realizing build_hypergraph(b) as a sum threshold.
 
-    Requires at least one dominating vertex; an edgeless hypergraph is
-    trivially realized by all-zero labels and any positive threshold, which
-    callers handle themselves.  All arithmetic is exact: labels double on
-    every isolated step, so they grow exponentially but never overflow.
+    One fold over the string.  The leading zeros get label 2 and tau = 2k,
+    so no k-subset of them exceeds tau; an all-zero string stops there, at
+    the edgeless hypergraph.  Every later newcomer tops only edges (a 1-bit)
+    or only non-edges (a 0-bit), so only its extreme k-subset needs setting:
+    with its k-1 lightest predecessors it lands on exactly tau + 1, with its
+    k-1 heaviest on exactly the new tau.  The doubling on a 0-bit keeps
+    every earlier comparison: sum >= tau + 1 becomes 2*sum > 2*tau + 1, and
+    sum <= tau becomes 2*sum <= 2*tau.  All arithmetic is exact: labels
+    double on every isolated step, so they grow exponentially but never
+    overflow.
     """
-    k = b.k
-    bits = b.bits
-    first = bits.find("1")
-    if first == -1:
-        raise ValueError("labeling needs at least one dominating vertex")
-    s = first  # leading zeros; the string invariant gives s >= k-1
-    c = [2] * s + [3]
-    tau = 2 * k
-    dominating = [s + 1]
-    isolated = list(range(1, s + 1))
-    for pos in range(s + 2, len(bits) + 1):
-        if bits[pos - 1] == "1":
-            # lightest edge through the newcomer: its k-1 smallest-labelled
-            # isolated predecessors (ties by index; any choice shares the sum)
-            chosen = sorted(isolated, key=lambda v: (c[v - 1], v))[: k - 1]
-            c.append(tau + 1 - sum(c[v - 1] for v in chosen))
-            dominating.append(pos)
+    k, bits = b.k, b.bits
+    lead = len(bits) - len(bits.lstrip("0"))
+    c, tau = [2] * lead, 2 * k
+    for bit in bits[lead:]:
+        if bit == "1":
+            c.append(tau + 1 - sum(sorted(c)[: k - 1]))
         else:
-            # heaviest edge through the newcomer uses the last k-1 dominating
-            # vertices, padded with leading isolated ones when too few exist
-            base = dominating[-(k - 1) :]
-            if len(base) < k - 1:
-                base = base + list(range(1, k - 1 - len(base) + 1))
-            heaviest = sum(c[v - 1] for v in base)
+            heaviest = sum(sorted(c)[1 - k :])
             c = [2 * v for v in c]
             c.append(2 * tau + 1 - 2 * heaviest)
             tau = 2 * tau + 1
-            isolated.append(pos)
     return Labeling(tuple(c), tau)
 
 
@@ -215,8 +205,8 @@ def check_label_monotonicity(b: BuildingString, labeling: Labeling) -> Monotonic
     c = labeling.c
     dec = intervals(b)
     ones = dec.one_intervals
-    zeros = dec.zero_intervals
-    later_zeros = [iv for iv in zeros if iv[0] > 1]
+    # every building string opens with a 0-bit: its first 1 sits at k or later
+    lead, *later_zeros = dec.zero_intervals
 
     def labels(iv: tuple[int, int]) -> list[int]:
         return list(c[iv[0] - 1 : iv[1]])
@@ -231,9 +221,9 @@ def check_label_monotonicity(b: BuildingString, labeling: Labeling) -> Monotonic
             return MonotonicityVerdict(
                 False, "one-within", f"1-interval {iv} is not constant"
             )
-    if zeros and zeros[0][0] == 1 and len(set(labels(zeros[0]))) > 1:
+    if len(set(labels(lead))) > 1:
         return MonotonicityVerdict(
-            False, "zero-leading", f"leading 0-interval {zeros[0]} is not constant"
+            False, "zero-leading", f"leading 0-interval {lead} is not constant"
         )
     for a, b2 in combinations(later_zeros, 2):
         if not min(labels(a)) > max(labels(b2)):

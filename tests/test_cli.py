@@ -129,6 +129,41 @@ class TestIpoly:
         payload = json.loads(res.stdout)
         assert payload["methods"]["trinks"][1] == "41"
 
+    def test_all_skips_refused_routes(self, runner):
+        res = invoke(runner, "ipoly", "--string", "00" + "10" * 20, "--k", "3")
+        assert res.exit_code == 0
+        payload = json.loads(res.stdout)
+        assert list(payload) == ["n", "k", "methods", "agree", "skipped"]
+        assert set(payload["methods"]) == {"recurrence", "closed", "semiclosed"}
+        assert payload["agree"] is True
+        assert payload["skipped"] == {
+            "brute": "brute force on 42 vertices exceeds the guard of 24",
+            "trinks": "deletion recursion on 42 vertices exceeds the guard of 40",
+        }
+
+    def test_all_answers_by_trinks_when_brute_is_refused(self, runner, tmp_path):
+        big = write_json(tmp_path, "big.json", {"k": 3, "n": 31, "edges": []})
+        res = invoke(runner, "ipoly", "--file", big, "--format", "text")
+        assert res.exit_code == 0
+        lines = res.stdout.splitlines()
+        assert lines[0].startswith("trinks: 1 + 31x + ")
+        assert lines[1:] == [
+            "agree: True",
+            "skipped brute: brute force on 31 vertices exceeds the guard of 24",
+        ]
+        res = invoke(runner, "ipoly", "--file", big, "--unsafe-no-guard")
+        assert res.exit_code == 0
+        payload = json.loads(res.stdout)
+        assert set(payload["methods"]) == {"trinks"}
+        assert "cap of 30" in payload["skipped"]["brute"]
+
+    def test_all_with_no_answering_route_exits_3(self, runner, tmp_path):
+        big = write_json(tmp_path, "big.json", {"k": 3, "n": 41, "edges": []})
+        res = invoke(runner, "ipoly", "--file", big)
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert "brute force on 41 vertices exceeds the guard of 24" in res.stderr
+
     def test_brute_force_past_kernel_cap_is_refused(self, runner, tmp_path):
         big = write_json(tmp_path, "big.json", {"k": 3, "n": 31, "edges": []})
         res = invoke(
@@ -151,9 +186,14 @@ class TestLabel:
             "tau": "223",
         }
 
-    def test_edgeless_is_usage_error(self, runner):
+    def test_edgeless_gets_base_labels(self, runner, tmp_path):
         res = invoke(runner, "label", "--string", "000", "--k", "3")
-        assert res.exit_code == 2
+        assert res.exit_code == 0
+        assert json.loads(res.stdout) == {"c": ["2", "2", "2"], "tau": "6"}
+        lpath = tmp_path / "lab.json"
+        lpath.write_text(res.stdout)
+        res = invoke(runner, "verify-t2", "--string", "000", "--k", "3", "--labels", str(lpath))
+        assert res.exit_code == 0 and json.loads(res.stdout) == {"holds": True}
 
 
 class TestVerifyT2:

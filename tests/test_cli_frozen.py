@@ -70,13 +70,15 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
     (["ipoly", "--file", "h1.json", "--method", "recurrence"], {}),  # 2
     (["ipoly", "--file", "big41.json", "--method", "trinks"], {}),  # 3
     (["ipoly", "--file", "big31.json", "--method", "brute", "--unsafe-no-guard"], {}),  # 3
+    (["ipoly", "--string", "00" + "10" * 20, "--k", "3"], {}),
+    (["ipoly", "--file", "big41.json"], {}),  # 3
     (["logconcave", "--k", "3", "--max-n", "12"], {}),
     (["logconcave", "--k", "3", "--string", "0010011", "--format", "text"], {}),
     (["logconcave", "--k", "3"], {}),  # 2
     (["logconcave", "--k", "3", "--string", "00" + "10" * 20], {}),
     (["label", "--string", "0010100011101", "--k", "3"], {}),
     (["label", "--string", "0010100011101", "--k", "3", "--format", "text"], {}),
-    (["label", "--string", "000", "--k", "3"], {}),  # 2
+    (["label", "--string", "000", "--k", "3"], {}),
     (["verify-t2", "--string", "0010101", "--k", "3", "--labels", "auto"], {}),
     (["verify-t2", "--file", "h1.json", "--labels", "lab.json", "--format", "text"], {}),
     (["verify-t2", "--file", "tri.json", "--labels", "zero.json"], {}),  # 1

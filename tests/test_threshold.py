@@ -33,6 +33,45 @@ def scan_t2(h, labeling):
     return None
 
 
+def paper_algorithm1(b):
+    """Reference: Algorithm 1 with the paper's vertex bookkeeping.
+
+    Keeps the isolated and dominating vertices in index lists; a 1-bit
+    completes its k-1 smallest-labelled isolated vertices, a 0-bit the last
+    k-1 dominating vertices padded with leading isolated ones.  Needs at
+    least one dominating vertex.
+    """
+    k = b.k
+    bits = b.bits
+    first = bits.find("1")
+    if first == -1:
+        raise ValueError("labeling needs at least one dominating vertex")
+    s = first  # leading zeros; the string invariant gives s >= k-1
+    c = [2] * s + [3]
+    tau = 2 * k
+    dominating = [s + 1]
+    isolated = list(range(1, s + 1))
+    for pos in range(s + 2, len(bits) + 1):
+        if bits[pos - 1] == "1":
+            # lightest edge through the newcomer: its k-1 smallest-labelled
+            # isolated predecessors (ties by index; any choice shares the sum)
+            chosen = sorted(isolated, key=lambda v: (c[v - 1], v))[: k - 1]
+            c.append(tau + 1 - sum(c[v - 1] for v in chosen))
+            dominating.append(pos)
+        else:
+            # heaviest edge through the newcomer uses the last k-1 dominating
+            # vertices, padded with leading isolated ones when too few exist
+            base = dominating[-(k - 1) :]
+            if len(base) < k - 1:
+                base = base + list(range(1, k - 1 - len(base) + 1))
+            heaviest = sum(c[v - 1] for v in base)
+            c = [2 * v for v in c]
+            c.append(2 * tau + 1 - 2 * heaviest)
+            tau = 2 * tau + 1
+            isolated.append(pos)
+    return Labeling(tuple(c), tau)
+
+
 def shifted(lab, at, by, tau_by):
     """lab with label `at` (0-based, or None for none) moved by `by`, tau by `tau_by`."""
     c = list(lab.c)
@@ -82,9 +121,24 @@ class TestAlgorithm1:
         assert lab.c == (64, 64, 96, 48, 112, 8, 168, -60, 276, -222, 506, -559, 1005)
         assert lab.tau == 223
 
-    def test_rejects_edgeless(self):
-        with pytest.raises(ValueError):
-            algorithm1_labels(BuildingString("0000", 3))
+    def test_edgeless_gets_base_labels(self):
+        for n, k in [(1, 2), (3, 3), (4, 3), (7, 5)]:
+            b = BuildingString("0" * n, k)
+            lab = algorithm1_labels(b)
+            assert lab == Labeling((2,) * n, 2 * k)
+            assert verify_t2(build_hypergraph(b), lab).holds
+
+    def test_matches_paper_bookkeeping_exhaustively(self):
+        for k in range(2, 6):
+            for n in range(k, 13):
+                for bits in constructable_strings(k, n):
+                    b = BuildingString(bits, k)
+                    assert algorithm1_labels(b) == paper_algorithm1(b), bits
+
+    @given(building_strings(max_n=60))
+    @settings(max_examples=150)
+    def test_matches_paper_bookkeeping(self, b):
+        assert algorithm1_labels(b) == paper_algorithm1(b)
 
     def test_tie_break_is_sum_invariant(self):
         # picking largest-index instead of smallest among label ties must not
