@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import combinations, compress, repeat
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import lt, ne
 
 from .errors import GuardExceeded
@@ -29,7 +29,6 @@ from .hypergraph import BuildingString, Edge, Hypergraph
 T2_GUARD = 24
 T3_GUARD = 20
 FEASIBILITY_GUARD = 5000  # on the number of k-subsets
-_FM_ROW_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def verify_t2(h: Hypergraph, labeling: Labeling, guard: bool = True) -> T2Verdic
     # Label sums and edge membership stream in lockstep, both in the
     # lexicographic order of combinations, so no k-subset is ever stored.
     # lt(tau, s), not tau.__lt__: that answers NotImplemented (truthy) when
-    # a label is, say, a Fraction.
+    # a label is not an int but, say, a rational.
     k = h.k
     above = map(lt, repeat(labeling.tau), map(sum, combinations(labeling.c, k)))
     is_edge = map(h.edges.__contains__, combinations(h.vertices, k))
@@ -245,133 +244,122 @@ def check_label_monotonicity(b: BuildingString, labeling: Labeling) -> Monotonic
     return MonotonicityVerdict(True)
 
 
-# ── rational feasibility by Fourier-Motzkin elimination ─────────────────────
+# ── feasibility by an exact integer simplex on the Farkas system ───────────
 
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     feasible: bool
     labeling: Labeling | None = None
+    # when infeasible: sorted (k-subset, positive weight) pairs that balance
+    certificate: tuple[tuple[Edge, int], ...] | None = None
 
 
 def t2_feasibility(h: Hypergraph, guard: bool = True) -> FeasibilityVerdict:
-    """Decide whether any rational labeling realizes h as a sum threshold.
+    """Decide whether any labeling realizes h as a sum threshold, with evidence.
 
-    Strictness is folded away exactly: scaling a strict solution makes every
-    edge margin at least 1, so the system used is sum(S) >= tau + 1 on edges
-    and sum(S) <= tau on non-edges.  A feasible system yields a rational
-    point which is cleared to integers (scaling preserves both inequality
-    families), so the witness is checkable by verify_t2.  guard=False
-    lifts both the k-subset guard and the elimination's row cap.
+    Scaling a strict solution makes every edge margin at least 1, so h is
+    feasible iff x = (c, tau) solves a_S.x >= b_S over all k-subsets S, with
+    a_S = (chi_S, -1), b_S = 1 on an edge and a_S = (-chi_S, 1), b_S = 0 on
+    a non-edge.  By Farkas' lemma exactly one of that system and
+    y >= 0, sum y_S a_S = 0, sum y_S b_S = 1 is solvable.  Phase 1 of the
+    simplex method decides the second: n + 2 equations, one column per
+    k-subset and one artificial per equation, minimizing the artificials'
+    sum.  At optimum 0 the basic y are the certificate: the weighted edges
+    and the weighted non-edges count every vertex equally often, have equal
+    total weight, and some edge is weighted, so no labeling puts the one
+    side above tau and the other at or below it.  At a positive optimum t
+    the simplex multipliers (u, t) price every subset at
+    -(a_S.u + b_S t) >= 0, so x = -u/t solves the first system; it is read
+    off the artificials' reduced costs and divided by its gcd.
+
+    The tableau is fraction-free (Edmonds): integer rows T stand for T/D,
+    with D the basis determinant, so by Cramer's rule every entry is an
+    integer and the pivot update (p*a - f*b) // D, then D = p, divides
+    exactly.  Only the right-hand side and the artificial columns are kept,
+    since they hold D times the inverse basis: a subset's column is their
+    sum over its k + 2 entries, and pricing every subset is one pass of
+    label sums over combinations.  The most negative reduced cost enters,
+    and the leaving row is the lexicographic minimum of (right-hand side,
+    artificial columns) over its pivot entry.  Those rows start as the
+    identity and stay lexicographically positive and distinct, and each
+    pivot raises the objective row lexicographically, so no basis repeats
+    and the method ends (Dantzig, Orden and Wolfe 1955).
+
+    Each verdict's evidence is checked before it is returned, and a failed
+    check raises AssertionError.  guard=False lifts the k-subset guard.
     """
     if h.k is None:
         raise ValueError("feasibility needs a k-uniform hypergraph")
-    nsub = comb(h.n, h.k)
+    n, k = h.n, h.k
+    nsub = comb(n, k)
     if guard and nsub > FEASIBILITY_GUARD:
         raise GuardExceeded(
             f"{nsub} k-subsets exceed the feasibility guard of {FEASIBILITY_GUARD}"
         )
-    nvars = h.n + 1  # c_1..c_n then tau
-    rows: list[tuple[tuple[int, ...], int]] = []
-    for sub in combinations(h.vertices, h.k):
-        a = [0] * nvars
-        if sub in h.edges:
-            for v in sub:
-                a[v - 1] = -1
-            a[h.n] = 1
-            rows.append((tuple(a), -1))
-        else:
-            for v in sub:
-                a[v - 1] = 1
-            a[h.n] = -1
-            rows.append((tuple(a), 0))
-    point = _fourier_motzkin(rows, nvars, guard)
-    if point is None:
-        return FeasibilityVerdict(False)
-    mult = lcm(*(v.denominator for v in point)) if point else 1
-    scaled = [v * mult for v in point]
-    c = tuple(int(v) for v in scaled[: h.n])
-    tau = int(scaled[h.n])
-    return FeasibilityVerdict(True, Labeling(c, tau))
+    subsets = list(combinations(h.vertices, k))
+    is_edge = [s in h.edges for s in subsets]
+    # rows: the n vertices, tau, the b row, then the objective; columns: the
+    # right-hand side, then the n + 2 artificials
+    rows = [[int(i == n + 1)] + [int(i == j) for j in range(n + 2)] for i in range(n + 2)]
+    rows.append([-1] + [0] * (n + 2))
+    basis: list[int | None] = [None] * (n + 2)
+    det = 1
+    while rows[-1][0]:  # minus det times the artificials' sum
+        g = [z - det for z in rows[-1][1:]]  # minus det times (u, t)
+        edge_shift = g[n + 1] - g[n]
+        costs = [
+            s + edge_shift if e else g[n] - s
+            for s, e in zip(map(sum, combinations(g[:n], k)), is_edge)
+        ]
+        enter = min(range(nsub), key=costs.__getitem__, default=None)
+        if enter is None or costs[enter] >= 0:
+            scale = gcd(*g[: n + 1]) or 1
+            lab = Labeling(tuple(v // scale for v in g[:n]), g[n] // scale)
+            if not verify_t2(h, lab, guard=False).holds:
+                raise AssertionError(f"simplex witness {lab} fails verify_t2")
+            return FeasibilityVerdict(True, lab)
+        sign = 1 if is_edge[enter] else -1
+        col = [
+            sign * (sum(r[v] for v in subsets[enter]) - r[n + 1]) + is_edge[enter] * r[n + 2]
+            for r in rows[:-1]
+        ] + [costs[enter]]
+        out = None
+        for i, f in enumerate(col[:-1]):
+            if f > 0 and (
+                out is None or [v * col[out] for v in rows[i]] < [v * f for v in rows[out]]
+            ):
+                out = i
+        p, pivot_row = col[out], rows[out]
+        rows = [
+            r if r is pivot_row else [(p * a - f * b) // det for a, b in zip(r, pivot_row)]
+            for r, f in zip(rows, col)
+        ]
+        basis[out], det = enter, p
+    weights = {subsets[j]: r[0] for j, r in zip(basis, rows) if j is not None and r[0]}
+    scale = gcd(*weights.values())
+    certificate = tuple(sorted((s, w // scale) for s, w in weights.items()))
+    if not _balanced(h, certificate):
+        raise AssertionError(f"simplex certificate {certificate} does not balance")
+    return FeasibilityVerdict(False, certificate=certificate)
 
 
-def _fourier_motzkin(
-    rows: list[tuple[tuple[int, ...], int]], nvars: int, guard: bool
-) -> list[Fraction] | None:
-    """Solve a·x <= b over the rationals; a solution vector or None.
+def _balanced(h: Hypergraph, certificate: tuple[tuple[Edge, int], ...]) -> bool:
+    """True when the weighted edges and non-edges balance.
 
-    Works on integer rows kept primitive (divided by their gcd).  Each
-    elimination step picks the variable minimizing the pos*neg product and
-    records the bounding rows so a solution can be rebuilt by walking the
-    eliminations backwards, assigning each variable a value between its
-    tightest bounds.
+    Every weight is positive, both sides meet every vertex equally often,
+    and at least one edge is weighted.  Equal total weight follows, since
+    every weighted set has k vertices.
     """
-    from fractions import Fraction  # late: a cold CLI call skips it
-    system = set()
-    for a, rhs in rows:
-        row = _canonical_row(a, rhs)
-        if row is False:
-            return None
-        if row is not None:
-            system.add(row)
-    remaining = list(range(nvars))
-    stack: list[tuple[int, list, list]] = []
-    while remaining:
-        var = min(
-            remaining,
-            key=lambda j: (
-                sum(1 for a, _ in system if a[j] > 0)
-                * sum(1 for a, _ in system if a[j] < 0),
-                j,
-            ),
-        )
-        pos = [r for r in system if r[0][var] > 0]
-        neg = [r for r in system if r[0][var] < 0]
-        zero = [r for r in system if r[0][var] == 0]
-        stack.append((var, pos, neg))
-        new = set(zero)
-        for ap, bp in pos:
-            for an, bn in neg:
-                mp, mn = -an[var], ap[var]
-                a = tuple(mp * x + mn * y for x, y in zip(ap, an))
-                row = _canonical_row(a, mp * bp + mn * bn)
-                if row is False:
-                    return None
-                if row is not None:
-                    new.add(row)
-                if guard and len(new) > _FM_ROW_CAP:
-                    raise GuardExceeded("elimination blow-up; instance too irregular")
-        system = new
-        remaining.remove(var)
-    values: list[Fraction | None] = [None] * nvars
-    for var, pos, neg in reversed(stack):
-        lowers = []
-        uppers = []
-        for a, rhs in pos:
-            rest = sum(a[i] * values[i] for i in range(nvars) if i != var and a[i])
-            uppers.append(Fraction(rhs - rest, a[var]))
-        for a, rhs in neg:
-            rest = sum(a[i] * values[i] for i in range(nvars) if i != var and a[i])
-            lowers.append(Fraction(rhs - rest, a[var]))
-        if lowers and uppers:
-            values[var] = (max(lowers) + min(uppers)) / 2
-        elif lowers:
-            values[var] = max(lowers)
-        elif uppers:
-            values[var] = min(uppers)
+    net = [0] * h.n
+    edge_weight = 0
+    for sub, w in certificate:
+        if w <= 0:
+            return False
+        if sub in h.edges:
+            edge_weight += w
         else:
-            values[var] = Fraction(0)
-    return values  # type: ignore[return-value]
-
-
-def _canonical_row(
-    a: tuple[int, ...], rhs: int
-) -> tuple[tuple[int, ...], int] | None | bool:
-    """Primitive form of a row; None when trivial, False when contradictory."""
-    if all(x == 0 for x in a):
-        return False if rhs < 0 else None
-    g = gcd(*(abs(x) for x in a), abs(rhs))
-    if g > 1:
-        a = tuple(x // g for x in a)
-        rhs //= g
-    return (a, rhs)
+            w = -w
+        for v in sub:
+            net[v - 1] += w
+    return edge_weight > 0 and not any(net)

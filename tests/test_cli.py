@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,12 @@ def write_json(tmp_path, name, obj):
 
 H1_JSON = {"k": 3, "n": 5, "edges": [[1, 4, 5], [2, 3, 5], [2, 4, 5], [3, 4, 5]]}
 H2_JSON = {"k": 3, "n": 5, "edges": [[1, 2, 3], [1, 3, 4], [2, 3, 5], [3, 4, 5]]}
+FM10_C = (4, 5, 8, 0, 7, 3, 0, 2, 1, 5)  # with tau = 15: a sum threshold on 78 edges
+FM10_JSON = {
+    "k": 4,
+    "n": 10,
+    "edges": [list(s) for s in combinations(range(1, 11), 4) if sum(FM10_C[v - 1] for v in s) > 15],
+}
 
 
 class TestGen:
@@ -293,6 +300,16 @@ class TestFeasibleT2:
         res = invoke(runner, "feasible-t2", "--file", path)
         assert res.exit_code == 1
         assert json.loads(res.stdout) == {"feasible": False}
+
+    @pytest.mark.parametrize("name, obj", [("h1.json", H1_JSON), ("fm10.json", FM10_JSON)])
+    def test_witness_passes_verify_t2(self, runner, tmp_path, name, obj):
+        path = write_json(tmp_path, name, obj)
+        res = invoke(runner, "feasible-t2", "--file", path)
+        assert res.exit_code == 0
+        labels = tmp_path / "lab.json"
+        labels.write_text(res.stdout)
+        res = invoke(runner, "verify-t2", "--file", path, "--labels", str(labels))
+        assert res.exit_code == 0 and json.loads(res.stdout) == {"holds": True}
 
 
 class TestRecognize:

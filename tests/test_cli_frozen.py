@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ from click.testing import CliRunner
 from antiregular.cli import main
 
 FIXTURE = Path(__file__).with_name("frozen_cli.json")
+
+FM10_C = (4, 5, 8, 0, 7, 3, 0, 2, 1, 5)  # with tau = 15; 78 edges
 
 FILES = {
     "h1.json": {"k": 3, "n": 5, "edges": [[1, 4, 5], [2, 3, 5], [2, 4, 5], [3, 4, 5]]},
@@ -45,6 +48,11 @@ FILES = {
     "k1.json": {"k": 1, "n": 2, "edges": [[2]]},
     "big31.json": {"k": 3, "n": 31, "edges": []},
     "big41.json": {"k": 3, "n": 41, "edges": []},
+    "fm10.json": {
+        "k": 4,
+        "n": 10,
+        "edges": [list(s) for s in combinations(range(1, 11), 4) if sum(FM10_C[v - 1] for v in s) > 15],
+    },
     "lab.json": {"c": ["-2", "-1", "0", "1", "2"], "tau": "0"},
     "zero.json": {"c": ["0", "0", "0"], "tau": "0"},
 }
@@ -90,6 +98,7 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
     (["degrees", "--file", "h1.json", "--format", "text"], {}),
     (["feasible-t2", "--file", "h1.json"], {}),
     (["feasible-t2", "--file", "h2.json", "--format", "text"], {}),  # 1
+    (["feasible-t2", "--file", "fm10.json"], {}),
     (["recognize", "--file", "built.json"], {}),
     (["recognize", "--file", "built.json", "--format", "text"], {}),
     (["recognize", "--file", "s4.json"], {}),  # 1

@@ -1,5 +1,7 @@
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,30 @@ def scan_t2(h, labeling):
         if (sum(c[v - 1] for v in sub) > tau) != (sub in h.edges):
             return sub
     return None
+
+
+def balances(h, certificate):
+    """Reference: do the weighted edges and the weighted non-edges balance?
+
+    The weights are positive on distinct sorted k-subsets; both sides meet
+    every vertex equally often and have equal total weight, and some edge
+    is weighted.
+    """
+    subs = [sub for sub, _ in certificate]
+    assert subs == sorted(set(subs)) and all(w > 0 for _, w in certificate)
+    assert set(subs) <= set(combinations(h.vertices, h.k))
+    side = {True: Counter(), False: Counter()}
+    for sub, w in certificate:
+        side[sub in h.edges].update(dict.fromkeys(sub, w))
+        side[sub in h.edges]["total"] += w
+    return side[True]["total"] > 0 and side[True] == side[False]
+
+
+def sum_threshold(c, tau, k):
+    """The k-uniform hypergraph whose edges are the k-subsets summing above tau."""
+    n = len(c)
+    subs = combinations(range(1, n + 1), k)
+    return Hypergraph(n, frozenset(s for s in subs if sum(c[v - 1] for v in s) > tau), k)
 
 
 def paper_algorithm1(b):
@@ -97,6 +123,16 @@ def uniform_with_labels(draw):
     return h, Labeling(tuple(c), draw(st.integers(-3, 12)))
 
 
+@st.composite
+def labelled_thresholds(draw):
+    """A hypergraph cut out by random integer labels at some k-subset's sum."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 10))
+    c = draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
+    at = draw(st.sampled_from(list(combinations(range(n), k))))
+    return sum_threshold(c, sum(c[i] for i in at), k)
+
+
 H1 = Hypergraph(5, frozenset([(1, 4, 5), (2, 3, 5), (2, 4, 5), (3, 4, 5)]), 3)
 H2 = Hypergraph(5, frozenset([(1, 2, 3), (1, 3, 4), (2, 3, 5), (3, 4, 5)]), 3)
 
@@ -139,17 +175,6 @@ class TestAlgorithm1:
     @settings(max_examples=150)
     def test_matches_paper_bookkeeping(self, b):
         assert algorithm1_labels(b) == paper_algorithm1(b)
-
-    def test_tie_break_is_sum_invariant(self):
-        # picking largest-index instead of smallest among label ties must not
-        # change the chosen sum, hence not the produced labels
-        b = BuildingString("0010101", 3)
-        lab = algorithm1_labels(b)
-        c = lab.c
-        iso = [v for v in range(1, 8) if b.bits[v - 1] == "0"]
-        by_low = sorted(iso, key=lambda v: (c[v - 1], v))[:2]
-        by_high = sorted(iso, key=lambda v: (c[v - 1], -v))[:2]
-        assert sum(c[v - 1] for v in by_low) == sum(c[v - 1] for v in by_high)
 
     @given(building_strings(max_n=12))
     @settings(max_examples=80)
@@ -364,8 +389,11 @@ class TestFeasibility:
         assert verify_t2(H1, verdict.labeling).holds
 
     def test_h2_infeasible(self):
+        # {1,3,4} + {2,3,5} are edges, {1,3,5} + {2,3,4} are not: same vertices
         verdict = t2_feasibility(H2)
         assert not verdict.feasible and verdict.labeling is None
+        assert verdict.certificate == (((1, 3, 4), 1), ((1, 3, 5), 1), ((2, 3, 4), 1), ((2, 3, 5), 1))
+        assert balances(H2, verdict.certificate)
 
     def test_single_edge_feasible(self):
         h = Hypergraph(3, frozenset([(1, 2, 3)]), 3)
@@ -382,23 +410,58 @@ class TestFeasibility:
         with pytest.raises(GuardExceeded):
             t2_feasibility(edgeless(40, 5))
 
-    def test_no_guard_lifts_the_row_cap(self, monkeypatch):
-        import antiregular.threshold as mod
+    def test_decides_without_a_row_cap(self):
+        sums = sum_threshold((-2, 4, 3, -3, 0, 4), 4, 3)
+        for h, feasible in ((sums, True), (H2, False)):
+            verdict = t2_feasibility(h)
+            assert verdict.feasible is feasible
+            assert t2_feasibility(h, guard=False) == verdict
 
-        monkeypatch.setattr(mod, "_FM_ROW_CAP", 5)
-        c = (-2, 4, 3, -3, 0, 4)
-        sums = Hypergraph(
-            6,
-            frozenset(s for s in combinations(range(1, 7), 3) if sum(c[v - 1] for v in s) > 4),
-            3,
-        )
-        infeasible = Hypergraph(5, frozenset([(1, 2, 3), (1, 3, 4), (2, 3, 5), (3, 4, 5)]), 3)
-        for h in (sums, infeasible):
-            with pytest.raises(GuardExceeded):
-                t2_feasibility(h)
-        verdict = t2_feasibility(sums, guard=False)
-        assert verdict.feasible and verify_t2(sums, verdict.labeling).holds
-        assert not t2_feasibility(infeasible, guard=False).feasible
+    def test_decides_what_elimination_refused(self):
+        h = sum_threshold((4, 5, 8, 0, 7, 3, 0, 2, 1, 5), 15, 4)
+        assert len(h.edges) == 78
+        verdict = t2_feasibility(h)
+        assert verdict.feasible and scan_t2(h, verdict.labeling) is None
+
+    @given(uniform_hypergraphs(max_k=4, max_n=8))
+    @settings(max_examples=300, deadline=None)
+    def test_every_verdict_carries_checked_evidence(self, h):
+        verdict = t2_feasibility(h)
+        if verdict.feasible:
+            lab = verdict.labeling
+            assert verdict.certificate is None and scan_t2(h, lab) is None
+            assert gcd(*lab.c, lab.tau) in (0, 1)
+        else:
+            assert verdict.labeling is None and balances(h, verdict.certificate)
+            assert gcd(*(w for _, w in verdict.certificate)) == 1
+        if not verify_t3(h).holds:
+            assert not verdict.feasible
+
+    @given(labelled_thresholds())
+    @settings(max_examples=200, deadline=None)
+    def test_sum_thresholds_are_feasible(self, h):
+        verdict = t2_feasibility(h)
+        assert verdict.feasible and scan_t2(h, verdict.labeling) is None
+
+    @pytest.mark.parametrize("n, count", [(4, 46), (5, 332)])
+    def test_counts_labelled_threshold_graphs(self, n, count):
+        # OEIS A005840: 1, 2, 8, 46, 332, 2874 labelled threshold graphs
+        pairs = list(combinations(range(1, n + 1), 2))
+        graphs = [
+            Hypergraph(n, frozenset(compress(pairs, bits)), 2)
+            for bits in product((0, 1), repeat=len(pairs))
+        ]
+        assert sum(t2_feasibility(g).feasible for g in graphs) == count
+
+    def test_complete_and_edgeless_are_feasible(self):
+        # the pivot rule's guard: on the complete 3-uniform hypergraph the
+        # lexicographic rule takes n - 2 pivots, Bland's rule 2^(n-2) - 1
+        for k in range(3, 6):
+            for n in range(k, 21):
+                for edges in (frozenset(combinations(range(1, n + 1), k)), frozenset()):
+                    h = Hypergraph(n, edges, k)
+                    verdict = t2_feasibility(h, guard=False)
+                    assert verdict.feasible and verify_t2(h, verdict.labeling).holds
 
     @given(building_strings(max_n=7))
     @settings(max_examples=25, deadline=None)
