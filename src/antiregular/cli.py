@@ -192,18 +192,21 @@ def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
     else:
         polys = {method: compute(method)}
     agree = len({p.coeffs for p in polys.values()}) == 1
+    if method == "all" and len(polys) == 1:
+        agree = None  # a lone route was checked against nothing
     payload = {
         "n": h.n,
         "k": h.k,
         "methods": {name: p.to_decimal_strings() for name, p in polys.items()},
         "agree": agree,
     }
-    lines = [f"{name}: {p}" for name, p in polys.items()] + [f"agree: {agree}"]
+    lines = [f"{name}: {p}" for name, p in polys.items()]
+    lines.append(f"agree: {'n/a' if agree is None else agree}")
     if refusals:
         payload["skipped"] = {name: str(exc) for name, exc in refusals.items()}
         lines += [f"skipped {name}: {exc}" for name, exc in refusals.items()]
     _emit(payload, fmt, lines)
-    if not agree:
+    if agree is False:
         sys.exit(1)
 
 
@@ -295,12 +298,10 @@ def verify_t2_cmd(string, k, file, labels, fmt, unsafe_no_guard) -> None:
 @main.command("verify-t3")
 @click.option("--file", required=True, help="Hypergraph JSON file.")
 @_format_option
-@_noguard_option
 @_translate_errors
-def verify_t3_cmd(file, fmt, unsafe_no_guard) -> None:
+def verify_t3_cmd(file, fmt) -> None:
     """Check that replacement order compares every vertex pair."""
-    _warn_noguard(unsafe_no_guard)
-    verdict = verify_t3(_load_hypergraph(file), guard=not unsafe_no_guard)
+    verdict = verify_t3(_load_hypergraph(file))
     payload = {"holds": verdict.holds}
     if verdict.witness is not None:
         payload["witness"] = list(verdict.witness)

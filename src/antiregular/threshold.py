@@ -9,9 +9,9 @@ label that lifts all of them (the lightest one included) over tau, and an
 isolated newcomer doubles everything and gets the largest label that keeps
 all of them (the heaviest one included) at or below the new threshold.
 
-The comparability notion checked by verify_t3 is replacement order: x sits
-below y when swapping x out for y inside any edge through x (and avoiding
-y) lands on an edge again.
+verify_t3 checks replacement order: x sits below y when swapping x out for
+y inside any edge through x (and avoiding y) lands on an edge again.  That
+implies deg x <= deg y, so n - 1 pairs along the degree order decide it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import GuardExceeded
 from .hypergraph import BuildingString, Edge, Hypergraph
 
 T2_GUARD = 24
-T3_GUARD = 20
 FEASIBILITY_GUARD = 5000  # on the number of k-subsets
 
 
@@ -130,31 +129,32 @@ def verify_t2(h: Hypergraph, labeling: Labeling, guard: bool = True) -> T2Verdic
 @dataclass(frozen=True)
 class T3Verdict:
     holds: bool
-    witness: tuple[int, int] | None = None  # first incomparable pair
+    witness: tuple[int, int] | None = None  # incomparable, adjacent in (degree, label) order
 
 
-def verify_t3(h: Hypergraph, guard: bool = True) -> T3Verdict:
-    """Check that replacement order compares every vertex pair."""
+def verify_t3(h: Hypergraph) -> T3Verdict:
+    """Check that replacement order compares every vertex pair.
+
+    x <= y when every link of x (an edge through x, minus x) that avoids y
+    is a link of y.  The swap x -> y maps the edges through x and not y
+    injectively onto the edges through y and not x, so x <= y gives
+    deg x <= deg y, and with equal degrees that map is a bijection, so it
+    gives y <= x too.  The order is a preorder (Isbell's desirability
+    relation), so it is total iff x <= y along each consecutive pair of the
+    (degree, label) order, by transitivity.  A consecutive pair failing
+    x <= y is incomparable: y <= x would force equal degrees, hence x <= y.
+    """
     if h.k is None:
         raise ValueError("comparability check needs a k-uniform hypergraph")
-    if guard and h.n > T3_GUARD:
-        raise GuardExceeded(
-            f"comparability check on {h.n} vertices exceeds the guard of {T3_GUARD}"
-        )
-    for x, y in combinations(h.vertices, 2):
-        if not (_replaceable(h, x, y) or _replaceable(h, y, x)):
-            return T3Verdict(False, (x, y))
-    return T3Verdict(True)
-
-
-def _replaceable(h: Hypergraph, x: int, y: int) -> bool:
-    """True when every edge through x avoiding y stays an edge under x -> y."""
+    links: list[set[Edge]] = [set() for _ in range(h.n + 1)]
     for e in h.edges:
-        if x in e and y not in e:
-            swapped = tuple(sorted([v for v in e if v != x] + [y]))
-            if swapped not in h.edges:
-                return False
-    return True
+        for i, v in enumerate(e):
+            links[v].add(e[:i] + e[i + 1 :])
+    chain = sorted(h.vertices, key=lambda v: (len(links[v]), v))
+    for x, y in zip(chain, chain[1:]):
+        if not all(y in s for s in links[x] - links[y]):
+            return T3Verdict(False, (min(x, y), max(x, y)))
+    return T3Verdict(True)
 
 
 # ── interval structure of the labels ────────────────────────────────────────

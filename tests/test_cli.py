@@ -135,6 +135,7 @@ class TestIpoly:
         assert "warning" in res.stderr
         payload = json.loads(res.stdout)
         assert payload["methods"]["trinks"][1] == "41"
+        assert payload["agree"] is True  # a single --method keeps its true
 
     def test_all_skips_refused_routes(self, runner):
         res = invoke(runner, "ipoly", "--string", "00" + "10" * 20, "--k", "3")
@@ -155,13 +156,14 @@ class TestIpoly:
         lines = res.stdout.splitlines()
         assert lines[0].startswith("trinks: 1 + 31x + ")
         assert lines[1:] == [
-            "agree: True",
+            "agree: n/a",
             "skipped brute: brute force on 31 vertices exceeds the guard of 24",
         ]
         res = invoke(runner, "ipoly", "--file", big, "--unsafe-no-guard")
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert set(payload["methods"]) == {"trinks"}
+        assert payload["agree"] is None
         assert "cap of 30" in payload["skipped"]["brute"]
 
     def test_all_with_no_answering_route_exits_3(self, runner, tmp_path):
@@ -259,7 +261,19 @@ class TestVerifyT3:
         )
         res = invoke(runner, "verify-t3", "--file", path)
         assert res.exit_code == 1
-        assert json.loads(res.stdout)["witness"] is not None
+        assert json.loads(res.stdout)["witness"] == [2, 4]
+
+    def test_decides_past_the_old_guard(self, runner, tmp_path):
+        path = write_json(tmp_path, "big21.json", {"k": 3, "n": 21, "edges": []})
+        res = invoke(runner, "verify-t3", "--file", path)
+        assert res.exit_code == 0
+        assert json.loads(res.stdout) == {"holds": True}
+
+    def test_has_no_guard_flag(self, runner, tmp_path):
+        path = write_json(tmp_path, "h1.json", H1_JSON)
+        res = invoke(runner, "verify-t3", "--file", path, "--unsafe-no-guard")
+        assert res.exit_code == 2
+        assert "No such option" in res.stderr
 
     @pytest.mark.parametrize(
         "obj",

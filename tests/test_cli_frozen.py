@@ -94,6 +94,8 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
     (["verify-t3", "--file", "h1.json"], {}),
     (["verify-t3", "--file", "nc.json", "--format", "text"], {}),  # 1
     (["verify-t3", "--file", "bad.json"], {}),  # 2
+    (["verify-t3", "--file", "big21.json"], {}),
+    (["verify-t3", "--file", "h1.json", "--unsafe-no-guard"], {}),  # 2
     (["degrees", "--string", "00101", "--k", "3"], {}),
     (["degrees", "--file", "h1.json", "--format", "text"], {}),
     (["feasible-t2", "--file", "h1.json"], {}),

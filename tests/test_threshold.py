@@ -13,10 +13,12 @@ from antiregular import (
     Hypergraph,
     Labeling,
     T2Verdict,
+    T3Verdict,
     algorithm1_labels,
     build_hypergraph,
     check_label_monotonicity,
     constructable_strings,
+    degree_sequence,
     edgeless,
     intervals,
     t2_feasibility,
@@ -32,6 +34,24 @@ def scan_t2(h, labeling):
     for sub in combinations(h.vertices, h.k):
         if (sum(c[v - 1] for v in sub) > tau) != (sub in h.edges):
             return sub
+    return None
+
+
+def replaceable(h, x, y):
+    """True when every edge through x avoiding y stays an edge under x -> y."""
+    for e in h.edges:
+        if x in e and y not in e:
+            swapped = tuple(sorted([v for v in e if v != x] + [y]))
+            if swapped not in h.edges:
+                return False
+    return True
+
+
+def scan_t3(h):
+    """Reference: test every vertex pair both ways; the first incomparable one or None."""
+    for x, y in combinations(h.vertices, 2):
+        if not (replaceable(h, x, y) or replaceable(h, y, x)):
+            return (x, y)
     return None
 
 
@@ -302,13 +322,39 @@ class TestVerifyT3:
         assert verify_t3(H1).holds
 
     def test_triangle_chain_fails(self):
+        # degrees 2, 1, 2, 1, 2, 1: the chain opens 2, 4, and the link {1, 3}
+        # of vertex 2 is no link of vertex 4
         h = Hypergraph(6, frozenset([(1, 2, 3), (3, 4, 5), (1, 5, 6)]), 3)
-        verdict = verify_t3(h)
-        assert not verdict.holds and verdict.witness is not None
+        assert verify_t3(h) == T3Verdict(False, (2, 4))
 
-    def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            verify_t3(edgeless(21, 3))
+    def test_decides_past_the_old_guard(self):
+        assert verify_t3(edgeless(21, 3)).holds
+        b = BuildingString("0001" + "011" * 12, 4)
+        assert b.n == 40 and verify_t3(build_hypergraph(b)).holds
+
+    def test_needs_uniformity(self):
+        with pytest.raises(ValueError):
+            verify_t3(Hypergraph(3, frozenset([(1, 2), (1, 2, 3)]), None))
+
+    @given(uniform_hypergraphs(max_k=4, max_n=8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scan(self, h):
+        verdict = verify_t3(h)
+        assert verdict.holds == (scan_t3(h) is None)
+        if not verdict.holds:
+            x, y = verdict.witness
+            assert x < y and not (replaceable(h, x, y) or replaceable(h, y, x))
+            deg = degree_sequence(h)
+            chain = sorted(h.vertices, key=lambda v: (deg[v - 1], v))
+            assert abs(chain.index(x) - chain.index(y)) == 1
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_scan_on_every_hypergraph_on_five_vertices(self, k):
+        subs = list(combinations(range(1, 6), k))
+        assert len(subs) == 10
+        for bits in product((0, 1), repeat=10):
+            h = Hypergraph(5, frozenset(compress(subs, bits)), k)
+            assert verify_t3(h).holds == (scan_t3(h) is None), bits
 
     @given(building_strings(max_n=9))
     @settings(max_examples=40)
