@@ -2,7 +2,8 @@
 
 Every command emits JSON by default (--format text for a terse human
 form).  Exit codes: 0 success / property holds, 1 property fails (the
-witness is in the output), 2 usage error, 3 instance-size guard exceeded.
+witness is in the output), 2 usage error, 3 instance-size guard exceeded
+(only ipoly has guards, on its exponential routes).
 Unbounded integers (labels, thresholds, coefficients, degrees) are always
 serialized as decimal strings.
 """
@@ -48,11 +49,6 @@ _format_option = click.option(
     show_default=True,
     help="Output format.",
 )
-_noguard_option = click.option(
-    "--unsafe-no-guard",
-    is_flag=True,
-    help="Disable instance-size guards (may run for a very long time).",
-)
 
 
 def _translate_errors(f):
@@ -75,11 +71,6 @@ def _emit(payload: dict, fmt: str, lines: list[str]) -> None:
     else:
         for line in lines:
             click.echo(line)
-
-
-def _warn_noguard(flag: bool) -> None:
-    if flag:
-        click.echo("warning: instance-size guards disabled", err=True)
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
@@ -149,11 +140,16 @@ _METHODS = ["brute", "trinks", "recurrence", "closed", "semiclosed", "all"]
     "skipping any its size guard refuses.",
 )
 @_format_option
-@_noguard_option
+@click.option(
+    "--unsafe-no-guard",
+    is_flag=True,
+    help="Disable instance-size guards (may run for a very long time).",
+)
 @_translate_errors
 def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
     """Independence polynomial of a built or loaded hypergraph."""
-    _warn_noguard(unsafe_no_guard)
+    if unsafe_no_guard:
+        click.echo("warning: instance-size guards disabled", err=True)
     guard = not unsafe_no_guard
     h, b = _string_input(string, k, file)
     structural = b is not None and b.is_antiregular()
@@ -268,11 +264,9 @@ def label(string: str, k: int, fmt: str) -> None:
 @click.option("--file", default=None, help="Hypergraph JSON file.")
 @click.option("--labels", required=True, help="Labeling JSON file, or 'auto'.")
 @_format_option
-@_noguard_option
 @_translate_errors
-def verify_t2_cmd(string, k, file, labels, fmt, unsafe_no_guard) -> None:
+def verify_t2_cmd(string, k, file, labels, fmt) -> None:
     """Check that a labeling realizes the hypergraph as a sum threshold."""
-    _warn_noguard(unsafe_no_guard)
     h, b = _string_input(string, k, file)
     if labels == "auto":
         if b is None:
@@ -285,7 +279,7 @@ def verify_t2_cmd(string, k, file, labels, fmt, unsafe_no_guard) -> None:
             lab = Labeling.from_json(Path(labels).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise click.UsageError(f"cannot read labeling from {labels}: {exc}")
-    verdict = verify_t2(h, lab, guard=not unsafe_no_guard)
+    verdict = verify_t2(h, lab)
     payload = {"holds": verdict.holds}
     if verdict.witness is not None:
         payload["witness"] = list(verdict.witness)
@@ -328,17 +322,21 @@ def degrees(string, k, file, fmt) -> None:
 @main.command("feasible-t2")
 @click.option("--file", required=True, help="Hypergraph JSON file.")
 @_format_option
-@_noguard_option
 @_translate_errors
-def feasible_t2_cmd(file, fmt, unsafe_no_guard) -> None:
-    """Decide rational sum-threshold feasibility; witness labels if feasible."""
-    _warn_noguard(unsafe_no_guard)
-    verdict = t2_feasibility(_load_hypergraph(file), guard=not unsafe_no_guard)
+def feasible_t2_cmd(file, fmt) -> None:
+    """Decide rational sum-threshold feasibility; witness labels or a certificate."""
+    h = _load_hypergraph(file)
+    verdict = t2_feasibility(h)
     payload: dict = {"feasible": verdict.feasible}
     lines = ["feasible" if verdict.feasible else "infeasible"]
     if verdict.labeling is not None:
         payload.update(verdict.labeling.to_json())
         lines += ["c = " + " ".join(map(str, verdict.labeling.c)), f"tau = {verdict.labeling.tau}"]
+    else:
+        payload["certificate"] = [[list(s), str(w)] for s, w in verdict.certificate]
+        lines += [
+            f"{w} x {'edge' if s in h.edges else 'non-edge'} {s}" for s, w in verdict.certificate
+        ]
     _emit(payload, fmt, lines)
     if not verdict.feasible:
         sys.exit(1)

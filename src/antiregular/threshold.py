@@ -9,6 +9,9 @@ label that lifts all of them (the lightest one included) over tau, and an
 isolated newcomer doubles everything and gets the largest label that keeps
 all of them (the heaviest one included) at or below the new threshold.
 
+verify_t2 and the simplex's pricing share one probe for the lightest edge
+and the heaviest non-edge, which reads a constant multiple of the input.
+
 verify_t3 checks replacement order: x sits below y when swapping x out for
 y inside any edge through x (and avoiding y) lands on an edge again.  That
 implies deg x <= deg y, so n - 1 pairs along the degree order decide it.
@@ -21,13 +24,11 @@ import re
 from dataclasses import dataclass
 from itertools import combinations, compress, repeat
 from math import comb, gcd
-from operator import lt, ne
+from operator import and_, eq
 
-from .errors import GuardExceeded
 from .hypergraph import BuildingString, Edge, Hypergraph
 
-T2_GUARD = 24
-FEASIBILITY_GUARD = 5000  # on the number of k-subsets
+SCAN_RATIO = 4  # scan all C(n, k) subsets while at most this times (k + 1)|E|
 
 
 @dataclass(frozen=True)
@@ -102,28 +103,75 @@ def algorithm1_labels(b: BuildingString) -> Labeling:
 @dataclass(frozen=True)
 class T2Verdict:
     holds: bool
-    witness: Edge | None = None  # lexicographically first offending k-subset
+    # the lightest edge at most tau, else the heaviest non-edge above; first of equal sums
+    witness: Edge | None = None
 
 
-def verify_t2(h: Hypergraph, labeling: Labeling, guard: bool = True) -> T2Verdict:
-    """Check edge <=> label sum exceeds tau, over every k-subset."""
+def _probe(h: Hypergraph):
+    """Labels c -> (lightest edge sum, heaviest non-edge sum, locate).
+
+    A sum is None when no set of its kind exists; locate(edge) returns the
+    lexicographically first edge (or non-edge) at that sum.  While C(n, k)
+    <= SCAN_RATIO * (k + 1) * |E| every k-subset is scanned at C speed.
+    Past that the vertices are ranked by (label, -vertex), and the first
+    heaviest non-edge T is the top k-set or an elementary down-shift of an
+    edge.  An elementary up-shift swaps a member for the next-ranked vertex
+    outside the set: it never lowers the sum, and between equal labels it
+    moves to a lower vertex, so to a lexicographically smaller set.  If T is
+    not the top k-set it has an up-shift, and that is an edge: a non-edge
+    would be heavier than T, or as heavy and earlier.
+    """
+    n, k, edges = h.n, h.k, h.edges
+    if comb(n, k) <= SCAN_RATIO * (k + 1) * len(edges):
+        is_edge = bytes(map(edges.__contains__, combinations(h.vertices, k)))
+        non_edge = is_edge.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+
+        def scan(c):
+            sums = list(map(sum, combinations(c, k)))
+            lo = min(compress(sums, is_edge), default=None)
+            hi = max(compress(sums, non_edge), default=None)
+
+            def locate(edge: bool) -> Edge:
+                mask, best = (is_edge, lo) if edge else (non_edge, hi)
+                hits = map(and_, mask, map(eq, sums, repeat(best)))
+                return next(compress(combinations(h.vertices, k), hits))
+
+            return lo, hi, locate
+
+        return scan
+
+    def walk(c):
+        order = sorted(h.vertices, key=lambda v: (c[v - 1], -v))
+        below = dict(zip(order[1:], order))
+        light = {e: sum(c[v - 1] for v in e) for e in edges}
+        top = tuple(sorted(order[-k:]))  # n >= k: C(n, k) = 0 takes the scan
+        heavy = {} if top in edges else {top: sum(c[v - 1] for v in top)}
+        for e, s in light.items():
+            for w in e:
+                u = below.get(w)
+                if u is not None and u not in e:
+                    t = tuple(sorted([u if v == w else v for v in e]))
+                    if t not in edges:
+                        heavy[t] = s - c[w - 1] + c[u - 1]
+        lo, hi = min(light.values(), default=None), max(heavy.values(), default=None)
+        return lo, hi, lambda edge: min(
+            t for t, s in (light if edge else heavy).items() if s == (lo if edge else hi)
+        )
+
+    return walk
+
+
+def verify_t2(h: Hypergraph, labeling: Labeling) -> T2Verdict:
+    """Check edge <=> label sum exceeds tau on the lightest edge and the heaviest non-edge."""
     if h.k is None:
         raise ValueError("threshold check needs a k-uniform hypergraph")
     if len(labeling.c) != h.n:
         raise ValueError(f"labeling has {len(labeling.c)} labels for {h.n} vertices")
-    if guard and h.n > T2_GUARD:
-        raise GuardExceeded(
-            f"threshold check on {h.n} vertices exceeds the guard of {T2_GUARD}"
-        )
-    # Label sums and edge membership stream in lockstep, both in the
-    # lexicographic order of combinations, so no k-subset is ever stored.
-    # lt(tau, s), not tau.__lt__: that answers NotImplemented (truthy) when
-    # a label is not an int but, say, a rational.
-    k = h.k
-    above = map(lt, repeat(labeling.tau), map(sum, combinations(labeling.c, k)))
-    is_edge = map(h.edges.__contains__, combinations(h.vertices, k))
-    witness = next(compress(combinations(h.vertices, k), map(ne, above, is_edge)), None)
-    return T2Verdict(witness is None, witness)
+    lo, hi, locate = _probe(h)(labeling.c)
+    for edge, s in ((True, lo), (False, hi)):
+        if s is not None and (s > labeling.tau) != edge:
+            return T2Verdict(False, locate(edge))
+    return T2Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -255,7 +303,7 @@ class FeasibilityVerdict:
     certificate: tuple[tuple[Edge, int], ...] | None = None
 
 
-def t2_feasibility(h: Hypergraph, guard: bool = True) -> FeasibilityVerdict:
+def t2_feasibility(h: Hypergraph) -> FeasibilityVerdict:
     """Decide whether any labeling realizes h as a sum threshold, with evidence.
 
     Scaling a strict solution makes every edge margin at least 1, so h is
@@ -278,52 +326,49 @@ def t2_feasibility(h: Hypergraph, guard: bool = True) -> FeasibilityVerdict:
     integer and the pivot update (p*a - f*b) // D, then D = p, divides
     exactly.  Only the right-hand side and the artificial columns are kept,
     since they hold D times the inverse basis: a subset's column is their
-    sum over its k + 2 entries, and pricing every subset is one pass of
-    label sums over combinations.  The most negative reduced cost enters,
-    and the leaving row is the lexicographic minimum of (right-hand side,
-    artificial columns) over its pivot entry.  Those rows start as the
-    identity and stay lexicographically positive and distinct, and each
-    pivot raises the objective row lexicographically, so no basis repeats
-    and the method ends (Dantzig, Orden and Wolfe 1955).
+    sum over its k + 2 entries.  Pricing reads -det*u as labels, so the
+    least reduced cost is the lightest edge's or the heaviest non-edge's
+    (the probe behind verify_t2).  The lexicographically first subset at
+    the most negative one enters, and the leaving row is the lexicographic
+    minimum of (right-hand side, artificial columns) over its pivot entry.
+    Those rows start as the identity and stay lexicographically positive and
+    distinct, and each pivot raises the objective row lexicographically, so
+    no basis repeats and the method ends (Dantzig, Orden and Wolfe 1955).
 
     Each verdict's evidence is checked before it is returned, and a failed
-    check raises AssertionError.  guard=False lifts the k-subset guard.
+    check raises AssertionError.
     """
     if h.k is None:
         raise ValueError("feasibility needs a k-uniform hypergraph")
-    n, k = h.n, h.k
-    nsub = comb(n, k)
-    if guard and nsub > FEASIBILITY_GUARD:
-        raise GuardExceeded(
-            f"{nsub} k-subsets exceed the feasibility guard of {FEASIBILITY_GUARD}"
-        )
-    subsets = list(combinations(h.vertices, k))
-    is_edge = [s in h.edges for s in subsets]
+    n, probe = h.n, _probe(h)
     # rows: the n vertices, tau, the b row, then the objective; columns: the
     # right-hand side, then the n + 2 artificials
     rows = [[int(i == n + 1)] + [int(i == j) for j in range(n + 2)] for i in range(n + 2)]
     rows.append([-1] + [0] * (n + 2))
-    basis: list[int | None] = [None] * (n + 2)
+    basis: list[Edge | None] = [None] * (n + 2)
     det = 1
     while rows[-1][0]:  # minus det times the artificials' sum
         g = [z - det for z in rows[-1][1:]]  # minus det times (u, t)
-        edge_shift = g[n + 1] - g[n]
-        costs = [
-            s + edge_shift if e else g[n] - s
-            for s, e in zip(map(sum, combinations(g[:n], k)), is_edge)
-        ]
-        enter = min(range(nsub), key=costs.__getitem__, default=None)
-        if enter is None or costs[enter] >= 0:
+        lo, hi, locate = probe(g[:n])
+        costs = {}  # least reduced cost of the edges and of the non-edges
+        if lo is not None:
+            costs[True] = lo + g[n + 1] - g[n]
+        if hi is not None:
+            costs[False] = g[n] - hi
+        cost = min(costs.values(), default=0)
+        if cost >= 0:
             scale = gcd(*g[: n + 1]) or 1
             lab = Labeling(tuple(v // scale for v in g[:n]), g[n] // scale)
-            if not verify_t2(h, lab, guard=False).holds:
+            if not verify_t2(h, lab).holds:
                 raise AssertionError(f"simplex witness {lab} fails verify_t2")
             return FeasibilityVerdict(True, lab)
-        sign = 1 if is_edge[enter] else -1
+        enter = min(locate(edge) for edge, x in costs.items() if x == cost)
+        is_edge = enter in h.edges
+        sign = 1 if is_edge else -1
         col = [
-            sign * (sum(r[v] for v in subsets[enter]) - r[n + 1]) + is_edge[enter] * r[n + 2]
+            sign * (sum(r[v] for v in enter) - r[n + 1]) + is_edge * r[n + 2]
             for r in rows[:-1]
-        ] + [costs[enter]]
+        ] + [cost]
         out = None
         for i, f in enumerate(col[:-1]):
             if f > 0 and (
@@ -336,7 +381,7 @@ def t2_feasibility(h: Hypergraph, guard: bool = True) -> FeasibilityVerdict:
             for r, f in zip(rows, col)
         ]
         basis[out], det = enter, p
-    weights = {subsets[j]: r[0] for j, r in zip(basis, rows) if j is not None and r[0]}
+    weights = {s: r[0] for s, r in zip(basis, rows) if s is not None and r[0]}
     scale = gcd(*weights.values())
     certificate = tuple(sorted((s, w // scale) for s, w in weights.items()))
     if not _balanced(h, certificate):

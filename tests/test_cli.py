@@ -37,6 +37,7 @@ FM10_JSON = {
     "n": 10,
     "edges": [list(s) for s in combinations(range(1, 11), 4) if sum(FM10_C[v - 1] for v in s) > 15],
 }
+BIG41_JSON = {"k": 3, "n": 41, "edges": []}  # 10,660 k-subsets
 
 
 class TestGen:
@@ -248,6 +249,19 @@ class TestVerifyT2:
         assert res.stdout == ""
         assert "labeling JSON" in res.stderr
 
+    def test_decides_past_the_old_guard(self, runner, tmp_path):
+        hpath = write_json(tmp_path, "big31.json", {"k": 3, "n": 31, "edges": []})
+        lpath = write_json(tmp_path, "zero31.json", {"c": ["0"] * 31, "tau": "0"})
+        res = invoke(runner, "verify-t2", "--file", hpath, "--labels", lpath)
+        assert res.exit_code == 0
+        assert json.loads(res.stdout) == {"holds": True}
+
+    def test_has_no_guard_flag(self, runner):
+        args = ["verify-t2", "--string", "00101", "--k", "3", "--labels", "auto", "--unsafe-no-guard"]
+        res = invoke(runner, *args)
+        assert res.exit_code == 2
+        assert "No such option" in res.stderr
+
 
 class TestVerifyT3:
     def test_holds(self, runner, tmp_path):
@@ -313,9 +327,38 @@ class TestFeasibleT2:
         path = write_json(tmp_path, "h2.json", H2_JSON)
         res = invoke(runner, "feasible-t2", "--file", path)
         assert res.exit_code == 1
-        assert json.loads(res.stdout) == {"feasible": False}
+        assert json.loads(res.stdout) == {
+            "feasible": False,
+            "certificate": [[[1, 3, 4], "1"], [[1, 3, 5], "1"], [[2, 3, 4], "1"], [[2, 3, 5], "1"]],
+        }
 
-    @pytest.mark.parametrize("name, obj", [("h1.json", H1_JSON), ("fm10.json", FM10_JSON)])
+    def test_printed_certificate_balances(self, runner, tmp_path):
+        # two disjoint edges {1,2}, {3,4} against the non-edges {1,3}, {2,4}
+        obj = {"k": 2, "n": 5, "edges": [[1, 2], [3, 4], [1, 5], [3, 5]]}
+        res = invoke(runner, "feasible-t2", "--file", write_json(tmp_path, "g.json", obj))
+        assert res.exit_code == 1
+        certificate = json.loads(res.stdout)["certificate"]
+        edges = {tuple(e) for e in obj["edges"]}
+        net, edge_weight = [0] * obj["n"], 0
+        for sub, w in certificate:
+            w = int(w)
+            assert w > 0 and len(sub) == 2 and sub == sorted(sub)
+            sign = 1 if tuple(sub) in edges else -1
+            edge_weight += w * (sign > 0)
+            for v in sub:
+                net[v - 1] += sign * w
+        assert edge_weight > 0 and net == [0] * obj["n"]
+
+    def test_has_no_guard_flag(self, runner, tmp_path):
+        path = write_json(tmp_path, "h1.json", H1_JSON)
+        res = invoke(runner, "feasible-t2", "--file", path, "--unsafe-no-guard")
+        assert res.exit_code == 2
+        assert "No such option" in res.stderr
+
+    @pytest.mark.parametrize(
+        "name, obj",
+        [("h1.json", H1_JSON), ("fm10.json", FM10_JSON), ("big41.json", BIG41_JSON)],
+    )
     def test_witness_passes_verify_t2(self, runner, tmp_path, name, obj):
         path = write_json(tmp_path, name, obj)
         res = invoke(runner, "feasible-t2", "--file", path)

@@ -55,6 +55,7 @@ FILES = {
     },
     "lab.json": {"c": ["-2", "-1", "0", "1", "2"], "tau": "0"},
     "zero.json": {"c": ["0", "0", "0"], "tau": "0"},
+    "zero31.json": {"c": ["0"] * 31, "tau": "0"},
 }
 
 ONE_WORKER = {"NUM_WORKERS": "1"}
@@ -91,6 +92,8 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
     (["verify-t2", "--file", "h1.json", "--labels", "lab.json", "--format", "text"], {}),
     (["verify-t2", "--file", "tri.json", "--labels", "zero.json"], {}),  # 1
     (["verify-t2", "--file", "h1.json", "--labels", "auto"], {}),  # 2
+    (["verify-t2", "--file", "big31.json", "--labels", "zero31.json"], {}),
+    (["verify-t2", "--file", "h1.json", "--labels", "lab.json", "--unsafe-no-guard"], {}),  # 2
     (["verify-t3", "--file", "h1.json"], {}),
     (["verify-t3", "--file", "nc.json", "--format", "text"], {}),  # 1
     (["verify-t3", "--file", "bad.json"], {}),  # 2
@@ -100,7 +103,10 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
     (["degrees", "--file", "h1.json", "--format", "text"], {}),
     (["feasible-t2", "--file", "h1.json"], {}),
     (["feasible-t2", "--file", "h2.json", "--format", "text"], {}),  # 1
+    (["feasible-t2", "--file", "h2.json"], {}),  # 1
     (["feasible-t2", "--file", "fm10.json"], {}),
+    (["feasible-t2", "--file", "big41.json"], {}),
+    (["feasible-t2", "--file", "h1.json", "--unsafe-no-guard"], {}),  # 2
     (["recognize", "--file", "built.json"], {}),
     (["recognize", "--file", "built.json", "--format", "text"], {}),
     (["recognize", "--file", "s4.json"], {}),  # 1

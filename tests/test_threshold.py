@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from antiregular import (
     BuildingString,
-    GuardExceeded,
     Hypergraph,
     Labeling,
     T2Verdict,
@@ -22,6 +21,7 @@ from antiregular import (
     edgeless,
     intervals,
     t2_feasibility,
+    threshold,
     verify_t2,
     verify_t3,
 )
@@ -35,6 +35,22 @@ def scan_t2(h, labeling):
         if (sum(c[v - 1] for v in sub) > tau) != (sub in h.edges):
             return sub
     return None
+
+
+def extreme_t2(h, labeling):
+    """Reference: the lightest edge at or below tau, else the heaviest non-edge above it.
+
+    Among equal sums the first in combinations order; None when the labeling holds.
+    """
+    c, tau = labeling.c, labeling.tau
+    light = heavy = None
+    for sub in combinations(h.vertices, h.k):
+        s = sum(c[v - 1] for v in sub)
+        if sub in h.edges and s <= tau and (light is None or s < light[0]):
+            light = (s, sub)
+        if sub not in h.edges and s > tau and (heavy is None or s > heavy[0]):
+            heavy = (s, sub)
+    return (light or heavy or (None, None))[1]
 
 
 def replaceable(h, x, y):
@@ -271,11 +287,10 @@ class TestVerifyT2:
         with pytest.raises(ValueError):
             verify_t2(Hypergraph(3, frozenset(), None), Labeling((0, 0, 0), 0))
 
-    def test_guard(self):
-        big = edgeless(25, 3)
-        with pytest.raises(GuardExceeded):
-            verify_t2(big, Labeling((0,) * 25, 3))
-        assert verify_t2(big, Labeling((0,) * 25, 3), guard=False).holds
+    def test_decides_past_the_old_guard(self):
+        assert verify_t2(edgeless(25, 3), Labeling((0,) * 25, 3)).holds
+        b = BuildingString("0001" + "011" * 12, 4)
+        assert b.n == 40 and verify_t2(build_hypergraph(b), algorithm1_labels(b)).holds
 
     def test_fraction_labels_compare_by_value(self):
         # int.__lt__(Fraction) is NotImplemented, which is truthy
@@ -289,15 +304,17 @@ class TestVerifyT2:
     @settings(max_examples=300)
     def test_matches_scan_on_nudged_algorithm1_labels(self, case):
         h, lab = case
-        w = scan_t2(h, lab)
-        assert verify_t2(h, lab) == T2Verdict(w is None, w)
+        verdict = verify_t2(h, lab)
+        assert verdict.holds == (scan_t2(h, lab) is None)
+        assert verdict.witness == extreme_t2(h, lab)
 
     @given(uniform_with_labels())
     @settings(max_examples=300)
     def test_matches_scan_on_random_labels(self, case):
         h, lab = case
-        w = scan_t2(h, lab)
-        assert verify_t2(h, lab) == T2Verdict(w is None, w)
+        verdict = verify_t2(h, lab)
+        assert verdict.holds == (scan_t2(h, lab) is None)
+        assert verdict.witness == extreme_t2(h, lab)
 
     def test_nudges_reach_both_kinds_of_witness(self):
         # every single-label nudge of every constructable string, k 2-4, n <= 7
@@ -310,11 +327,37 @@ class TestVerifyT2:
                     for at in range(n):
                         for by in (-2, -1, 1, 2):
                             nudged = shifted(lab, at, by, 0)
-                            w = scan_t2(h, nudged)
-                            assert verify_t2(h, nudged) == T2Verdict(w is None, w)
+                            w = verify_t2(h, nudged).witness
+                            assert (w is None) == (scan_t2(h, nudged) is None)
+                            assert w == extreme_t2(h, nudged)
                             if w is not None:
                                 kinds.add(w in h.edges)
         assert kinds == {True, False}  # an edge at or below tau, a non-edge above
+
+    @given(uniform_with_labels())
+    @settings(max_examples=200, deadline=None)
+    def test_scan_and_walk_agree(self, case):
+        h, lab = case
+        verdicts = []
+        for ratio in (0, 10**9):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(threshold, "SCAN_RATIO", ratio)
+                verdicts.append((verify_t2(h, lab), t2_feasibility(h)))
+        assert verdicts[0] == verdicts[1]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("c", [(1,) * 5, (3, -2, 5, 0, 1)])
+    def test_scan_and_walk_on_every_hypergraph_on_five_vertices(self, monkeypatch, k, c):
+        subs = list(combinations(range(1, 6), k))
+        for bits in product((0, 1), repeat=10):
+            h = Hypergraph(5, frozenset(compress(subs, bits)), k)
+            for tau in (k - 1, k, k + 1):
+                lab = Labeling(c, tau)
+                for ratio in (0, 10**9):
+                    monkeypatch.setattr(threshold, "SCAN_RATIO", ratio)
+                    verdict = verify_t2(h, lab)
+                    assert verdict.holds == (scan_t2(h, lab) is None), (bits, tau, ratio)
+                    assert verdict.witness == extreme_t2(h, lab), (bits, tau, ratio)
 
 
 class TestVerifyT3:
@@ -452,16 +495,16 @@ class TestFeasibility:
         assert verdict.feasible
         assert verify_t2(edgeless(4, 3), verdict.labeling).holds
 
-    def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            t2_feasibility(edgeless(40, 5))
+    def test_decides_past_the_old_guard(self):
+        verdict = t2_feasibility(edgeless(41, 3))  # 10,660 k-subsets
+        assert verdict.feasible and scan_t2(edgeless(41, 3), verdict.labeling) is None
+        assert t2_feasibility(edgeless(40, 5)).feasible
 
     def test_decides_without_a_row_cap(self):
         sums = sum_threshold((-2, 4, 3, -3, 0, 4), 4, 3)
         for h, feasible in ((sums, True), (H2, False)):
             verdict = t2_feasibility(h)
             assert verdict.feasible is feasible
-            assert t2_feasibility(h, guard=False) == verdict
 
     def test_decides_what_elimination_refused(self):
         h = sum_threshold((4, 5, 8, 0, 7, 3, 0, 2, 1, 5), 15, 4)
@@ -506,7 +549,7 @@ class TestFeasibility:
             for n in range(k, 21):
                 for edges in (frozenset(combinations(range(1, n + 1), k)), frozenset()):
                     h = Hypergraph(n, edges, k)
-                    verdict = t2_feasibility(h, guard=False)
+                    verdict = t2_feasibility(h)
                     assert verdict.feasible and verify_t2(h, verdict.labeling).holds
 
     @given(building_strings(max_n=7))
