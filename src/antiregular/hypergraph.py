@@ -13,7 +13,7 @@ zeros, isolated and dominating additions strictly alternate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, repeat
 from math import comb
 from operator import add
@@ -70,6 +70,7 @@ class Hypergraph:
     n: int
     edges: frozenset[Edge] = frozenset()
     k: int | None = None
+    _string: BuildingString | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -91,19 +92,21 @@ class Hypergraph:
                 raise ValueError(f"edge {bad!r} breaks {self.k}-uniformity")
 
     @classmethod
-    def _unchecked(cls, n: int, edges: frozenset[Edge], k: int) -> "Hypergraph":
-        """A k-uniform hypergraph whose edges skip __post_init__'s checks.
+    def _unchecked(cls, b: BuildingString, edges: frozenset[Edge]) -> "Hypergraph":
+        """The hypergraph of b, whose edges skip __post_init__'s checks.
 
         Only build_hypergraph calls this.  Its invariant: every edge is a
         strictly increasing k-tuple inside 1..n, because it is a
         (k-1)-subset of 1..pos-1, in combinations order, followed by a
         position pos <= n.  Those are the normal form and the range that
         __post_init__ would otherwise re-sort and re-check edge by edge.
+        The string b itself is kept as _string, for edge_masks.
         """
         h = object.__new__(cls)
-        object.__setattr__(h, "n", n)
+        object.__setattr__(h, "n", b.n)
         object.__setattr__(h, "edges", edges)
-        object.__setattr__(h, "k", k)
+        object.__setattr__(h, "k", b.k)
+        object.__setattr__(h, "_string", b)
         return h
 
     @property
@@ -111,8 +114,19 @@ class Hypergraph:
         return range(1, self.n + 1)
 
     def edge_masks(self) -> list[int]:
-        """Edges as bitmasks (vertex v -> bit v-1), in increasing order."""
+        """Edges as bitmasks (vertex v -> bit v-1), in increasing order.
+
+        A hypergraph from build_hypergraph reads them off its string: the
+        1-bit p adds bit p-1 to the mask of every (k-1)-subset of 1..p-1,
+        the same enumeration that built its edges.  Any other hypergraph
+        converts its stored tuples.  Both list the one edge set, sorted.
+        """
         bit = [0] + [1 << i for i in range(self.n)]
+        if self._string is not None:
+            masks = []
+            for p in self._string.dominating_positions:
+                masks += map(bit[p].__add__, map(sum, combinations(bit[1:p], self.k - 1)))
+            return sorted(masks)
         return sorted([sum(map(bit.__getitem__, e)) for e in self.edges])
 
 
@@ -152,7 +166,7 @@ def build_hypergraph(b: BuildingString) -> Hypergraph:
     edges: set[Edge] = set()
     for pos in b.dominating_positions:
         edges.update(map(add, combinations(range(1, pos), k - 1), repeat((pos,))))
-    return Hypergraph._unchecked(b.n, frozenset(edges), k)
+    return Hypergraph._unchecked(b, frozenset(edges))
 
 
 def complement_uniform(h: Hypergraph) -> Hypergraph:

@@ -80,6 +80,7 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
     (["ipoly", "--file", "big41.json", "--method", "trinks"], {}),  # 3
     (["ipoly", "--file", "big31.json", "--method", "brute", "--unsafe-no-guard"], {}),  # 3
     (["ipoly", "--string", "00" + "10" * 20, "--k", "3"], {}),
+    (["ipoly", "--string", "00010110110010110101", "--k", "4"], {}),
     (["ipoly", "--file", "big41.json"], {}),  # 3
     (["logconcave", "--k", "3", "--max-n", "12"], {}),
     (["logconcave", "--k", "3", "--string", "0010011", "--format", "text"], {}),

@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
@@ -102,6 +103,42 @@ class TestBuild:
         h = build_hypergraph(b)
         assert Hypergraph(h.n, h.edges, h.k) == h
         assert len(h.edges) == sum(comb(p - 1, b.k - 1) for p in b.dominating_positions)
+
+
+class TestEdgeMasks:
+    @given(building_strings(max_n=12))
+    @settings(max_examples=150)
+    def test_string_path_matches_tuple_path(self, b):
+        h = build_hypergraph(b)
+        masks = h.edge_masks()
+        assert masks == Hypergraph(b.n, h.edges, b.k).edge_masks()
+        assert masks == sorted(sum(1 << (v - 1) for v in e) for e in h.edges)
+        assert all(x < y for x, y in zip(masks, masks[1:]))
+
+    def test_all_zeros_give_no_masks(self):
+        for n, k in product(range(1, 7), range(2, 5)):
+            assert build_hypergraph(BuildingString("0" * n, k)).edge_masks() == []
+
+    def test_graph_case(self):
+        # k = 2: the 1-bit p adds bit p-1 to each earlier singleton
+        h = build_hypergraph(BuildingString("0101", 2))
+        assert h.edge_masks() == [0b0011, 0b1001, 0b1010, 0b1100]
+        h = build_hypergraph(BuildingString("0011", 2))
+        assert h.edge_masks() == [0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
+
+    def test_built_equals_its_tuple_twin(self):
+        b = BuildingString("0010100011101", 3)
+        h = build_hypergraph(b)
+        twin = Hypergraph(b.n, h.edges, b.k)
+        assert twin._string is None and h._string == b
+        assert h == twin and hash(h) == hash(twin)
+        # the string stays out of repr; the frozenset's own repr follows its
+        # hash table's history, so the two edge sets may print in other orders
+        for g in (h, twin):
+            assert repr(g) == f"Hypergraph(n={g.n}, edges={g.edges!r}, k={g.k})"
+        again = pickle.loads(pickle.dumps(h))
+        assert again == h and again._string == b
+        assert again.edge_masks() == h.edge_masks() == twin.edge_masks()
 
 
 class TestHypergraphType:

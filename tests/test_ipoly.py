@@ -92,6 +92,15 @@ class TestTrinks:
         h = build_hypergraph(b)
         assert ipoly_trinks(h) == ipoly_bruteforce(h)
 
+    @given(building_strings(max_n=12))
+    @settings(max_examples=40)
+    def test_built_and_tuple_twin_agree(self, b):
+        # the built hypergraph reads its masks off b, the twin off its tuples
+        h = build_hypergraph(b)
+        twin = Hypergraph(b.n, h.edges, b.k)
+        assert ipoly_bruteforce(h) == ipoly_bruteforce(twin)
+        assert ipoly_trinks(h) == ipoly_trinks(twin)
+
 
 class TestRecurrence:
     def test_small_cases(self):
