@@ -28,18 +28,9 @@ from .hypergraph import (
     hypergraph_to_json,
     recognize_zero_one_constructable,
 )
-from .ipoly import (
-    ipoly_antiregular_recurrence,
-    ipoly_bruteforce,
-    ipoly_k3_closed,
-    ipoly_semiclosed,
-    ipoly_string,
-    ipoly_trinks,
-    is_log_concave,
-    structural_routes,
-)
-from .sweep import run_sweep
-from .threshold import Labeling, algorithm1_labels, t2_feasibility, verify_t2, verify_t3
+
+# ipoly, threshold and sweep are imported inside the commands that run them,
+# so a cold call to any other command never loads or compiles them.
 
 _format_option = click.option(
     "--format",
@@ -148,6 +139,15 @@ _METHODS = ["brute", "trinks", "recurrence", "closed", "semiclosed", "all"]
 @_translate_errors
 def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
     """Independence polynomial of a built or loaded hypergraph."""
+    from .ipoly import (
+        ipoly_antiregular_recurrence,
+        ipoly_bruteforce,
+        ipoly_k3_closed,
+        ipoly_semiclosed,
+        ipoly_trinks,
+        structural_routes,
+    )
+
     if unsafe_no_guard:
         click.echo("warning: instance-size guards disabled", err=True)
     guard = not unsafe_no_guard
@@ -214,6 +214,8 @@ def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
 @_translate_errors
 def logconcave(string, k, max_n, fmt) -> None:
     """Check log-concavity of independence polynomial coefficients."""
+    from .ipoly import ipoly_antiregular_recurrence, ipoly_string, is_log_concave
+
     if string is None and max_n is None:
         raise click.UsageError("provide --string and/or --max-n")
     witnesses = []
@@ -253,6 +255,8 @@ def logconcave(string, k, max_n, fmt) -> None:
 @_translate_errors
 def label(string: str, k: int, fmt: str) -> None:
     """Threshold labels for a building string (file-ready labeling JSON)."""
+    from .threshold import algorithm1_labels
+
     lab = algorithm1_labels(BuildingString(string, k))
     lines = ["c = " + " ".join(map(str, lab.c)), f"tau = {lab.tau}"]
     _emit(lab.to_json(), fmt, lines)
@@ -267,6 +271,8 @@ def label(string: str, k: int, fmt: str) -> None:
 @_translate_errors
 def verify_t2_cmd(string, k, file, labels, fmt) -> None:
     """Check that a labeling realizes the hypergraph as a sum threshold."""
+    from .threshold import Labeling, algorithm1_labels, verify_t2
+
     h, b = _string_input(string, k, file)
     if labels == "auto":
         if b is None:
@@ -295,6 +301,8 @@ def verify_t2_cmd(string, k, file, labels, fmt) -> None:
 @_translate_errors
 def verify_t3_cmd(file, fmt) -> None:
     """Check that replacement order compares every vertex pair."""
+    from .threshold import verify_t3
+
     verdict = verify_t3(_load_hypergraph(file))
     payload = {"holds": verdict.holds}
     if verdict.witness is not None:
@@ -325,6 +333,8 @@ def degrees(string, k, file, fmt) -> None:
 @_translate_errors
 def feasible_t2_cmd(file, fmt) -> None:
     """Decide rational sum-threshold feasibility; witness labels or a certificate."""
+    from .threshold import t2_feasibility
+
     h = _load_hypergraph(file)
     verdict = t2_feasibility(h)
     payload: dict = {"feasible": verdict.feasible}
@@ -363,6 +373,8 @@ def recognize(file, fmt) -> None:
 @_translate_errors
 def sweep(k_max, n_max, fmt) -> None:
     """Exhaustive polynomial-agreement and labeling sweep (parallel)."""
+    from .sweep import run_sweep
+
     report = run_sweep(k_max, n_max)
     payload = {
         "k_max": report.k_max,

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import antiregular
 from antiregular import BuildingString, Hypergraph
 
 
@@ -34,3 +39,16 @@ def mixed_hypergraphs(draw, max_n: int = 9):
         lambda vs: tuple(sorted(vs))
     )
     return Hypergraph(n, frozenset(draw(st.lists(edge, max_size=14))))
+
+
+def fresh_interpreter(code: str, cwd=None) -> str:
+    """stdout of `code` run in a new interpreter that imports this checkout."""
+    src = str(Path(antiregular.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout

@@ -1,17 +1,13 @@
 import json
-import os
-import subprocess
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-import antiregular
 from antiregular import Labeling, antiregular_string, run_sweep, sweep
 from antiregular.cli import main
 from antiregular.sweep import default_workers
+from conftest import fresh_interpreter
 
 
 @pytest.fixture
@@ -422,20 +418,50 @@ class TestLogconcave:
 
 
 class TestColdStart:
-    def test_cli_import_skips_pool_and_fractions(self):
-        src = str(Path(antiregular.__file__).resolve().parents[1])
+    def test_package_import_loads_no_submodule(self):
         probe = (
-            "import sys, antiregular.cli; "
-            "print(sorted({'concurrent.futures', 'fractions'} & set(sys.modules)))"
+            "import sys, antiregular; "
+            "print(sorted(m for m in sys.modules if m.startswith('antiregular.')))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "[]"
+        assert fresh_interpreter(probe).strip() == "[]"
+
+    def test_cli_import_skips_pool_and_fractions(self):
+        heavy = [
+            "antiregular.ipoly",
+            "antiregular.threshold",
+            "antiregular.sweep",
+            "antiregular.kernels",
+            "antiregular.polynomial",
+            "concurrent.futures",
+            "fractions",
+        ]
+        probe = f"import sys, antiregular.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+        assert fresh_interpreter(probe).strip() == "[]"
+
+    def test_light_commands_load_no_command_module(self, tmp_path):
+        # one interpreter runs all four; label then shows the probe sees a load
+        probe = """
+import json, sys
+from click.testing import CliRunner
+from antiregular.cli import main
+
+def run(*args):
+    res = CliRunner().invoke(main, list(args), catch_exceptions=False)
+    assert res.exit_code == 0, (args, res.output)
+    return res.stdout
+
+open("h.json", "w").write(run("build", "--string", "001101", "--k", "3"))
+run("gen", "--n", "6", "--k", "3")
+run("degrees", "--string", "001101", "--k", "3")
+run("recognize", "--file", "h.json")
+mods = ["antiregular.ipoly", "antiregular.threshold", "antiregular.sweep"]
+before = [m for m in mods if m in sys.modules]
+run("label", "--string", "001101", "--k", "3")
+print(json.dumps([before, [m for m in mods if m in sys.modules]]))
+"""
+        before, after = json.loads(fresh_interpreter(probe, cwd=tmp_path))
+        assert before == []
+        assert after == ["antiregular.threshold"]
 
 
 class TestSweep:

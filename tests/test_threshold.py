@@ -425,7 +425,78 @@ class TestIntervals:
         assert "".join(rebuilt) == b.bits
 
 
+def pairwise_monotonicity(b, labeling):
+    """Reference: check_label_monotonicity with the across clauses over all pairs."""
+    c = labeling.c
+    dec = intervals(b)
+    ones = dec.one_intervals
+    lead, *later_zeros = dec.zero_intervals
+
+    def labels(iv):
+        return list(c[iv[0] - 1 : iv[1]])
+
+    if any(not max(labels(a)) < min(labels(b2)) for a, b2 in combinations(ones, 2)):
+        return False, "one-across"
+    if any(len(set(labels(iv))) > 1 for iv in ones):
+        return False, "one-within"
+    if len(set(labels(lead))) > 1:
+        return False, "zero-leading"
+    if any(not min(labels(a)) > max(labels(b2)) for a, b2 in combinations(later_zeros, 2)):
+        return False, "zero-across"
+    for iv in later_zeros:
+        vals = labels(iv)
+        if any(x >= y for x, y in zip(vals, vals[1:])):
+            return False, "zero-within"
+    dom = [c[i] for i, ch in enumerate(b.bits) if ch == "1"]
+    iso = [c[i] for i, ch in enumerate(b.bits) if ch == "0"]
+    if dom and iso and not min(dom) > max(iso):
+        return False, "separation"
+    return True, None
+
+
+@st.composite
+def nudged_labelings(draw):
+    """A building string and its Algorithm 1 labels, with a few swaps between
+    two 1-bits or two 0-bits past the first 1, each shifted by at most one."""
+    b = draw(building_strings(max_n=11))
+    lab = algorithm1_labels(b)
+    c = list(lab.c)
+    first_one = b.bits.index("1")
+    for _ in range(draw(st.integers(1, 3))):
+        bit = draw(st.sampled_from("01"))
+        same = [p for p in range(first_one, b.n) if b.bits[p] == bit] or [first_one]
+        i, j = draw(st.sampled_from(same)), draw(st.sampled_from(same))
+        c[i], c[j] = c[j], c[i] + draw(st.integers(-1, 1))
+    return b, Labeling(tuple(c), lab.tau)
+
+
 class TestMonotonicity:
+    @pytest.mark.parametrize("count", [3, 8])
+    def test_wrong_label_count_raises(self, count):
+        b = BuildingString("0010110", 3)
+        with pytest.raises(ValueError, match=f"labeling has {count} labels for 7 vertices"):
+            check_label_monotonicity(b, Labeling(tuple(range(count)), 5))
+
+    @given(nudged_labelings())
+    @settings(max_examples=300)
+    def test_matches_pairwise_reference(self, case):
+        b, lab = case
+        verdict = check_label_monotonicity(b, lab)
+        assert (verdict.holds, verdict.violated_clause) == pairwise_monotonicity(b, lab)
+        if verdict.violated_clause in ("one-across", "zero-across"):
+            runs = intervals(b).one_intervals
+            if verdict.violated_clause == "zero-across":
+                runs = intervals(b).zero_intervals[1:]
+            named = [iv for iv in runs if str(iv) in verdict.detail]
+            assert len(named) == 2 and runs.index(named[1]) == runs.index(named[0]) + 1
+
+    def test_across_detail_names_an_adjacent_pair(self):
+        # 1-bits 3, 5, 7 labelled 2, 5, 1: the pairwise scan named (3, 3) and (7, 7)
+        b = BuildingString("0010101", 3)
+        verdict = check_label_monotonicity(b, Labeling((1, 1, 2, 1, 5, 1, 1), 20))
+        assert verdict.violated_clause == "one-across"
+        assert verdict.detail == "1-intervals (5, 5) and (7, 7) fail to increase"
+
     def test_produced_labels_satisfy_all_clauses(self):
         for bits in ["00101", "0010100011101", "0010101010101", "0011011"]:
             b = BuildingString(bits, 3)
