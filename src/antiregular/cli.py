@@ -372,7 +372,11 @@ def recognize(file, fmt) -> None:
 @_format_option
 @_translate_errors
 def sweep(k_max, n_max, fmt) -> None:
-    """Exhaustive polynomial-agreement and labeling sweep (parallel)."""
+    """Exhaustive polynomial-agreement and labeling sweep (parallel).
+
+    The labeling family walks the prefix tree of building strings, and the
+    pool runs its subtrees; NUM_WORKERS caps the worker count.
+    """
     from .sweep import run_sweep
 
     report = run_sweep(k_max, n_max)

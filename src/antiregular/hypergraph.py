@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, repeat
 from math import comb
-from operator import add
+from operator import add, itemgetter
+from typing import Iterator
 
 Edge = tuple[int, ...]
 
@@ -95,12 +97,13 @@ class Hypergraph:
     def _unchecked(cls, b: BuildingString, edges: frozenset[Edge]) -> "Hypergraph":
         """The hypergraph of b, whose edges skip __post_init__'s checks.
 
-        Only build_hypergraph calls this.  Its invariant: every edge is a
-        strictly increasing k-tuple inside 1..n, because it is a
-        (k-1)-subset of 1..pos-1, in combinations order, followed by a
-        position pos <= n.  Those are the normal form and the range that
-        __post_init__ would otherwise re-sort and re-check edge by edge.
-        The string b itself is kept as _string, for edge_masks.
+        Only build_hypergraph and extend_hypergraph call this.  Its
+        invariant: every edge is a strictly increasing k-tuple inside 1..n,
+        because it is a (k-1)-subset of 1..pos-1, in combinations order,
+        followed by a position pos <= n.  Those are the normal form and the
+        range that __post_init__ would otherwise re-sort and re-check edge by
+        edge.  The string b itself is kept as _string, for edge_masks and
+        edge_flags.
         """
         h = object.__new__(cls)
         object.__setattr__(h, "n", b.n)
@@ -128,6 +131,32 @@ class Hypergraph:
                 masks += map(bit[p].__add__, map(sum, combinations(bit[1:p], self.k - 1)))
             return sorted(masks)
         return sorted([sum(map(bit.__getitem__, e)) for e in self.edges])
+
+    def edge_flags(self) -> bytes:
+        """One byte per k-subset in combinations order: 1 on an edge, else 0.
+
+        A hypergraph from build_hypergraph on at most 256 vertices reads them
+        off its string: a k-subset is an edge iff its top vertex is a 1-bit,
+        so the table of tops, translated through the bits, is the flags.  Any
+        other hypergraph looks each k-subset up in its edge set.
+        """
+        if self._string is not None and self.n <= 256:
+            bits = self._string.bits.encode().translate(_BIT_BYTE)
+            return _subset_tops(self.n, self.k).translate(bits.ljust(256, b"\0"))
+        return bytes(map(self.edges.__contains__, combinations(self.vertices, self.k)))
+
+
+_BIT_BYTE = bytes.maketrans(b"01", b"\0\1")
+
+
+@lru_cache(maxsize=32)
+def _subset_tops(n: int, k: int) -> bytes:
+    """Top vertex minus one of each k-subset of 1..n, in combinations order.
+
+    C(n, k) bytes; the probe asks for it only while that is at most a
+    constant times the edges it already holds.
+    """
+    return bytes(map(itemgetter(-1), combinations(range(n), k)))
 
 
 def edgeless(n: int, k: int | None = None) -> Hypergraph:
@@ -158,15 +187,31 @@ def antiregular_string(n: int, k: int, connected: bool) -> BuildingString:
     return BuildingString(bits, k)
 
 
+def _edges_topped_by(pos: int, k: int) -> Iterator[Edge]:
+    """The k-subsets of 1..pos whose top vertex is pos, in combinations order."""
+    return map(add, combinations(range(1, pos), k - 1), repeat((pos,)))
+
+
 def build_hypergraph(b: BuildingString) -> Hypergraph:
     """Run the construction a building string encodes."""
-    k = b.k
     # collected in a set, not a list: a frozenset copied from a set is sized
     # to its contents, one grown from a list can hold twice the table
     edges: set[Edge] = set()
     for pos in b.dominating_positions:
-        edges.update(map(add, combinations(range(1, pos), k - 1), repeat((pos,))))
+        edges.update(_edges_topped_by(pos, b.k))
     return Hypergraph._unchecked(b, frozenset(edges))
+
+
+def extend_hypergraph(parent: Hypergraph, b: BuildingString) -> Hypergraph:
+    """build_hypergraph(b), where parent is the hypergraph of b minus its last bit.
+
+    Appending a vertex changes no earlier k-subset, so a 0-bit keeps the
+    parent's edge set itself and a 1-bit adds the k-subsets its vertex tops.
+    """
+    edges = parent.edges
+    if b.bits[-1] == "1":
+        edges = edges.union(_edges_topped_by(b.n, b.k))
+    return Hypergraph._unchecked(b, edges)
 
 
 def complement_uniform(h: Hypergraph) -> Hypergraph:

@@ -4,6 +4,13 @@ Two families of checks: every antiregular instance must give the same
 independence polynomial by every applicable method, and every
 {0,1}-constructable string must yield labels that pass both the threshold
 verification and the interval monotonicity check.
+
+The second family walks the prefix tree of building strings depth first,
+one tree per k.  Algorithm 1 and the construction both read the string
+left to right, so a child takes its parent's labels through one more
+Algorithm 1 step, and its parent's edge set plus the k-subsets its new
+vertex tops.  Every string still gets the full verify_t2 and monotonicity
+checks.  The pool gets the subtrees below the prefixes of one fixed length.
 """
 
 from __future__ import annotations
@@ -14,9 +21,17 @@ from itertools import product
 from math import comb
 from typing import Iterator
 
-from .hypergraph import BuildingString, antiregular_string, build_hypergraph
+from .hypergraph import (
+    BuildingString,
+    Hypergraph,
+    antiregular_string,
+    build_hypergraph,
+    extend_hypergraph,
+)
 from .ipoly import ipoly_bruteforce, ipoly_trinks, structural_routes
-from .threshold import algorithm1_labels, check_label_monotonicity, verify_t2
+from .threshold import Labeling, _label_step, check_label_monotonicity, verify_t2
+
+SPLIT_BITS = 3  # a walk task is the subtree below one prefix of length k + SPLIT_BITS
 
 
 def constructable_strings(k: int, n: int) -> Iterator[str]:
@@ -30,8 +45,7 @@ def constructable_strings(k: int, n: int) -> Iterator[str]:
 def antiregular_agreement_failures(k: int, n: int) -> list[str]:
     """Cross-check every polynomial method on the antiregular instances."""
     fails = []
-    variants = [False] if n < k else [False, True]
-    for connected in variants:
+    for connected in (False, True)[: _variants(k, n)]:
         h = build_hypergraph(antiregular_string(n, k, connected))
         others = structural_routes(n, k, connected)
         ref = others.pop("recurrence")
@@ -43,17 +57,56 @@ def antiregular_agreement_failures(k: int, n: int) -> list[str]:
 
 
 def t2_soundness_failures(k: int, n: int) -> list[str]:
-    """Label every constructable string and verify threshold + monotonicity."""
-    fails = []
-    for bits in constructable_strings(k, n):
-        b = BuildingString(bits, k)
-        lab = algorithm1_labels(b)
-        if not verify_t2(build_hypergraph(b), lab).holds:
-            fails.append(f"k={k} {bits}: labeling fails threshold check")
+    """Label every constructable string of length n and verify threshold + monotonicity."""
+    return _walk_failures(k, "0", n, n)[1]
+
+
+def _prefix_tree(
+    k: int, prefix: str, n_max: int
+) -> Iterator[tuple[BuildingString, Hypergraph, Labeling]]:
+    """Every building string that extends prefix, up to length n_max, depth first.
+
+    Yields each string with its hypergraph and Algorithm 1 labels, both
+    taken from its parent's.  The prefix starts with 0, as every building
+    string does.
+    """
+
+    def child(node, bit):
+        b, h, state = node
+        b = BuildingString(b.bits + bit, k)
+        return b, extend_hypergraph(h, b), _label_step(state, bit, k)
+
+    b = BuildingString("0", k)
+    node = b, build_hypergraph(b), _label_step(None, "0", k)
+    for bit in prefix[1:]:
+        node = child(node, bit)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        b, h, (c, tau, _) = node
+        yield b, h, Labeling(c, tau)
+        if b.n < n_max:
+            stack.append(child(node, "0"))
+            if b.n + 1 >= k:
+                stack.append(child(node, "1"))
+
+
+def _walk_failures(k: int, prefix: str, n_min: int, n_max: int) -> tuple[int, list[str]]:
+    """Check every constructable string of length n_min..n_max extending prefix.
+
+    Returns how many strings were checked and their failures.
+    """
+    checked, fails = 0, []
+    for b, h, lab in _prefix_tree(k, prefix, n_max):
+        if b.n < n_min or not h.edges:  # too short, or no 1-bit yet
+            continue
+        checked += 1
+        if not verify_t2(h, lab).holds:
+            fails.append(f"k={k} {b.bits}: labeling fails threshold check")
         mono = check_label_monotonicity(b, lab)
         if not mono.holds:
-            fails.append(f"k={k} {bits}: monotonicity clause {mono.violated_clause}")
-    return fails
+            fails.append(f"k={k} {b.bits}: monotonicity clause {mono.violated_clause}")
+    return checked, fails
 
 
 @dataclass
@@ -69,33 +122,63 @@ class SweepReport:
         return not self.failures
 
 
-def _task_instances(task: tuple[str, int, int]) -> int:
-    """Instances a task checks: antiregular variants, or constructable strings.
+def _strings_below(k: int, prefix: str, n: int) -> int:
+    """Constructable strings of length n >= len(prefix) that extend prefix.
 
-    A constructable string of length n >= k puts its first 1-bit at some
-    f in k..n and leaves the n-f later bits free: 2^(n-k+1) - 1 strings.
+    Past a 1-bit every bit is free.  Otherwise the first 1-bit sits at some
+    f from max(k, len(prefix) + 1) to n, and the n - f later bits are free.
     """
-    kind, k, n = task
+    if "1" in prefix:
+        return 2 ** (n - len(prefix))
+    return 2 ** (n + 1 - max(k, len(prefix) + 1)) - 1 if n >= k else 0
+
+
+def _task_cost(task: tuple) -> int:
+    """Work estimate for scheduling: instances times the k-subsets of each.
+
+    An agreement task checks the antiregular variants of one (k, n); a walk
+    task checks the strings of n_min..n_max vertices below one prefix.
+    """
+    if task[0] == "agree":
+        _, k, n = task
+        return _variants(k, n) * comb(n, k)
+    _, k, prefix, n_min, n_max = task
+    return sum(_strings_below(k, prefix, n) * comb(n, k) for n in range(n_min, n_max + 1))
+
+
+def _variants(k: int, n: int) -> int:
+    """Antiregular instances on n vertices: the connected one needs n >= k."""
+    return 1 if n < k else 2
+
+
+def _run_task(task: tuple) -> tuple[str, int, list[str]]:
+    kind, k, *args = task
     if kind == "agree":
-        return 1 if n < k else 2
-    return 2 ** (n - k + 1) - 1
+        return kind, _variants(k, *args), antiregular_agreement_failures(k, *args)
+    return kind, *_walk_failures(k, *args)
 
 
-def _task_cost(task: tuple[str, int, int]) -> int:
-    """Work estimate for scheduling: instances times the k-subsets of each."""
-    _, k, n = task
-    return _task_instances(task) * comb(n, k)
-
-
-def _run_task(task: tuple[str, int, int]) -> tuple[str, int, list[str]]:
-    kind, k, n = task
-    check = antiregular_agreement_failures if kind == "agree" else t2_soundness_failures
-    return kind, _task_instances(task), check(k, n)
+def _walk_tasks(k: int, n_max: int) -> list[tuple]:
+    """One task for the strings shorter than k + SPLIT_BITS, and one per subtree below that length."""
+    depth = k + SPLIT_BITS
+    tasks = [("walk", k, "0", 1, min(depth - 1, n_max))]
+    if n_max >= depth:
+        prefixes = ["0" * depth, *constructable_strings(k, depth)]
+        tasks += [("walk", k, p, depth, n_max) for p in prefixes]
+    return tasks
 
 
 def default_workers() -> int:
-    """Worker count for sweeps; NUM_WORKERS caps it."""
-    workers = min(os.cpu_count() or 1, 8)
+    """Worker count for sweeps: the usable CPUs, at most 8; NUM_WORKERS caps it.
+
+    The usable CPUs are those the process may run on where the platform
+    tells (sched_getaffinity), else all of the machine's.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, 8)
     env = os.environ.get("NUM_WORKERS")
     if env:
         try:
@@ -113,7 +196,7 @@ def run_sweep(k_max: int, n_max: int, workers: int | None = None) -> SweepReport
     if workers is None:
         workers = default_workers()
     tasks = [("agree", k, n) for k in range(2, k_max + 1) for n in range(1, n_max + 1)]
-    tasks += [("t2", k, n) for k in range(2, k_max + 1) for n in range(k, n_max + 1)]
+    tasks += [t for k in range(2, k_max + 1) for t in _walk_tasks(k, n_max)]
     # largest first, so no worker is left alone with a big task at the end;
     # the report does not depend on the order, since counts are summed and
     # failures sorted

@@ -81,20 +81,28 @@ def algorithm1_labels(b: BuildingString) -> Labeling:
     every earlier comparison: sum >= tau + 1 becomes 2*sum > 2*tau + 1, and
     sum <= tau becomes 2*sum <= 2*tau.  All arithmetic is exact: labels
     double on every isolated step, so they grow exponentially but never
-    overflow.
+    overflow.  The sweep's prefix-tree walk takes the same steps.
     """
-    k, bits = b.k, b.bits
-    lead = len(bits) - len(bits.lstrip("0"))
-    c, tau = [2] * lead, 2 * k
-    for bit in bits[lead:]:
-        if bit == "1":
-            c.append(tau + 1 - sum(sorted(c)[: k - 1]))
-        else:
-            heaviest = sum(sorted(c)[1 - k :])
-            c = [2 * v for v in c]
-            c.append(2 * tau + 1 - 2 * heaviest)
-            tau = 2 * tau + 1
-    return Labeling(tuple(c), tau)
+    state = None
+    for bit in b.bits:
+        state = _label_step(state, bit, b.k)
+    c, tau, _ = state
+    return Labeling(c, tau)
+
+
+def _label_step(state, bit: str, k: int):
+    """Algorithm 1 on one more vertex: the state after a prefix -> after prefix + bit.
+
+    A state is (labels, tau, opened), None for the empty prefix; opened
+    says a 1-bit has come, and until then every vertex is a leading zero.
+    """
+    c, tau, opened = state or ((), 2 * k, False)
+    if bit == "1":
+        return c + (tau + 1 - sum(sorted(c)[: k - 1]),), tau, True
+    if not opened:
+        return c + (2,), tau, False
+    heaviest = sum(sorted(c)[1 - k :])
+    return tuple(2 * v for v in c) + (2 * tau + 1 - 2 * heaviest,), 2 * tau + 1, True
 
 
 # ── verification ────────────────────────────────────────────────────────────
@@ -112,7 +120,8 @@ def _probe(h: Hypergraph):
 
     A sum is None when no set of its kind exists; locate(edge) returns the
     lexicographically first edge (or non-edge) at that sum.  While C(n, k)
-    <= SCAN_RATIO * (k + 1) * |E| every k-subset is scanned at C speed.
+    <= SCAN_RATIO * (k + 1) * |E| every k-subset is scanned at C speed,
+    against the edge flags h.edge_flags() gives.
     Past that the vertices are ranked by (label, -vertex), and the first
     heaviest non-edge T is the top k-set or an elementary down-shift of an
     edge.  An elementary up-shift swaps a member for the next-ranked vertex
@@ -123,7 +132,7 @@ def _probe(h: Hypergraph):
     """
     n, k, edges = h.n, h.k, h.edges
     if comb(n, k) <= SCAN_RATIO * (k + 1) * len(edges):
-        is_edge = bytes(map(edges.__contains__, combinations(h.vertices, k)))
+        is_edge = h.edge_flags()
         non_edge = is_edge.translate(bytes.maketrans(b"\0\1", b"\1\0"))
 
         def scan(c):

@@ -1,10 +1,11 @@
 import json
+import os
 from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
 
-from antiregular import Labeling, antiregular_string, run_sweep, sweep
+from antiregular import antiregular_string, run_sweep, sweep
 from antiregular.cli import main
 from antiregular.sweep import default_workers
 from conftest import fresh_interpreter
@@ -479,11 +480,14 @@ class TestSweep:
         assert repeat.stdout == parallel.stdout
 
     def test_failures_merge_the_same_for_any_worker_count(self, monkeypatch):
-        # forked workers inherit the patch; every labelling is off by one
-        labels = sweep.algorithm1_labels
-        monkeypatch.setattr(
-            sweep, "algorithm1_labels", lambda b: Labeling(labels(b).c, labels(b).tau + 1)
-        )
+        # forked workers inherit the patch; every label step puts tau off by one
+        step = sweep._label_step
+
+        def off_by_one(state, bit, k):
+            c, tau, opened = step(state, bit, k)
+            return c, tau + 1, opened
+
+        monkeypatch.setattr(sweep, "_label_step", off_by_one)
         serial, parallel = run_sweep(3, 8, 1), run_sweep(3, 8, 2)
         assert serial == parallel
         assert serial.failures and serial.failures == sorted(serial.failures)
@@ -497,3 +501,19 @@ class TestSweep:
     def test_num_workers_below_one_clamps_to_one(self, monkeypatch, value):
         monkeypatch.setenv("NUM_WORKERS", value)
         assert default_workers() == 1
+
+    def test_workers_follow_the_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("NUM_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert default_workers() == 3
+        monkeypatch.setenv("NUM_WORKERS", "2")
+        assert default_workers() == 2
+
+    def test_workers_fall_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("NUM_WORKERS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert default_workers() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        assert default_workers() == 8

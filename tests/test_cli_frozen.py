@@ -119,6 +119,8 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
     (["sweep", "--k-max", "3", "--n-max", "7"], ONE_WORKER),
     (["sweep", "--k-max", "3", "--n-max", "7", "--format", "text"], ONE_WORKER),
     (["sweep", "--k-max", "1", "--n-max", "7"], ONE_WORKER),  # 2
+    (["sweep", "--k-max", "5", "--n-max", "10", "--format", "text"], ONE_WORKER),
+    (["sweep", "--k-max", "4", "--n-max", "9"], {"NUM_WORKERS": "2"}),
 ]
 
 

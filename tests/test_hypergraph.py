@@ -141,6 +141,25 @@ class TestEdgeMasks:
         assert again.edge_masks() == h.edge_masks() == twin.edge_masks()
 
 
+class TestEdgeFlags:
+    @given(building_strings(max_n=12))
+    @settings(max_examples=150)
+    def test_string_path_matches_tuple_path(self, b):
+        h = build_hypergraph(b)
+        flags = h.edge_flags()
+        assert flags == Hypergraph(b.n, h.edges, b.k).edge_flags()
+        assert flags == bytes(s in h.edges for s in combinations(h.vertices, b.k))
+
+    @pytest.mark.parametrize("n", [256, 300])
+    def test_past_a_byte_of_vertices_flags_come_from_the_edges(self, n):
+        # tops of 1..256 fit a byte; past that the edge set answers
+        b = BuildingString(("0" + "011" * n)[:n], 2)
+        h = build_hypergraph(b)
+        flags = h.edge_flags()
+        assert flags == Hypergraph(n, h.edges, 2).edge_flags()
+        assert sum(flags) == len(h.edges) == sum(p - 1 for p in b.dominating_positions)
+
+
 class TestHypergraphType:
     def test_validation(self):
         with pytest.raises(ValueError):

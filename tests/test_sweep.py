@@ -1,0 +1,146 @@
+"""The sweep's prefix-tree walk against independent oracles.
+
+The walk takes each string's labels and edges from its parent's; the
+oracles build them from scratch, string by string, as the sweep did before
+it walked the tree.
+"""
+
+from itertools import product
+
+import pytest
+
+from antiregular import (
+    BuildingString,
+    Labeling,
+    SweepReport,
+    algorithm1_labels,
+    build_hypergraph,
+    check_label_monotonicity,
+    constructable_strings,
+    run_sweep,
+    sweep,
+    verify_t2,
+)
+from antiregular.sweep import antiregular_agreement_failures
+
+
+def per_string_failures(k, n, labels):
+    """Reference: each constructable string of length n labelled and built from scratch."""
+    fails = []
+    for bits in constructable_strings(k, n):
+        b = BuildingString(bits, k)
+        lab = labels(b)
+        if not verify_t2(build_hypergraph(b), lab).holds:
+            fails.append(f"k={k} {bits}: labeling fails threshold check")
+        mono = check_label_monotonicity(b, lab)
+        if not mono.holds:
+            fails.append(f"k={k} {bits}: monotonicity clause {mono.violated_clause}")
+    return fails
+
+
+def per_string_report(k_max, n_max, labels=algorithm1_labels):
+    """Reference: the sweep as one task per (k, n) and family."""
+    report = SweepReport(k_max, n_max)
+    for k in range(2, k_max + 1):
+        for n in range(1, n_max + 1):
+            report.polynomial_instances += 1 if n < k else 2
+            report.failures += antiregular_agreement_failures(k, n)
+        for n in range(k, n_max + 1):
+            report.string_instances += 2 ** (n - k + 1) - 1
+            report.failures += per_string_failures(k, n, labels)
+    report.failures.sort()
+    return report
+
+
+def off_by_one(state, bit, k, step=sweep._label_step):
+    """A broken Algorithm 1 step: tau one too high after every vertex."""
+    c, tau, opened = step(state, bit, k)
+    return c, tau + 1, opened
+
+
+def folded(step):
+    """Labels of a whole string by folding step over its bits."""
+
+    def labels(b):
+        state = None
+        for bit in b.bits:
+            state = step(state, bit, b.k)
+        c, tau, _ = state
+        return Labeling(c, tau)
+
+    return labels
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_walk_labels_and_edges_match_the_string_by_string_oracles(k):
+    seen = {n: set() for n in range(1, 11)}
+    for b, h, lab in sweep._prefix_tree(k, "0", 10):
+        assert lab == algorithm1_labels(b), b.bits
+        assert h.edges == build_hypergraph(b).edges, b.bits
+        assert (h.n, h.k) == (b.n, k)
+        seen[b.n].add(b.bits)
+    for n, strings in seen.items():
+        # every string once: the constructable ones plus the all-zero one
+        assert strings == {*constructable_strings(k, n), "0" * n}, n
+
+
+def test_walk_from_a_prefix_stays_below_it():
+    below = [b.bits for b, _, _ in sweep._prefix_tree(3, "00101", 8)]
+    assert below[0] == "00101" and len(below) == len(set(below)) == 1 + 2 + 4 + 8
+    assert all(bits.startswith("00101") for bits in below)
+
+
+@pytest.mark.parametrize("k, n", [(2, 6), (3, 7), (4, 9), (5, 8)])
+def test_one_length_of_the_walk_is_the_old_per_string_loop(k, n, monkeypatch):
+    assert sweep.t2_soundness_failures(k, n) == []
+    monkeypatch.setattr(sweep, "_label_step", off_by_one)
+    expected = per_string_failures(k, n, folded(off_by_one))
+    assert expected and sorted(sweep.t2_soundness_failures(k, n)) == sorted(expected)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_sweep_equals_the_per_string_loop(workers):
+    for k_max, n_max in product(range(2, 6), range(1, 10)):
+        assert run_sweep(k_max, n_max, workers) == per_string_report(k_max, n_max), (
+            k_max,
+            n_max,
+        )
+
+
+def test_failures_from_a_broken_step_are_reported_alike(monkeypatch):
+    # forked workers inherit the patch
+    monkeypatch.setattr(sweep, "_label_step", off_by_one)
+    for k_max, n_max in [(3, 9), (5, 9)]:
+        expected = per_string_report(k_max, n_max, folded(off_by_one))
+        assert expected.failures
+        assert {f.split(": ")[1].split(" clause")[0] for f in expected.failures} == {
+            "labeling fails threshold check",
+            "monotonicity",
+        }
+        assert run_sweep(k_max, n_max, 1) == expected
+        assert run_sweep(k_max, n_max, 2) == expected
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_string_counts_below_a_prefix(k):
+    for n in range(1, 10):
+        strings = [*constructable_strings(k, n)]
+        for m in range(1, n + 1):
+            for prefix in {s[:m] for s in strings} | {"0" * m}:
+                count = sum(s.startswith(prefix) for s in strings)
+                assert sweep._strings_below(k, prefix, n) == count, (prefix, n)
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 4, 8, 12])
+def test_walk_tasks_split_the_tree(n_max):
+    # the tasks of one k cover each constructable string once, all lengths
+    k = 3
+    covered = []
+    for _, _, prefix, n_min, n_hi in sweep._walk_tasks(k, n_max):
+        covered += [
+            b.bits
+            for b, h, _ in sweep._prefix_tree(k, prefix, n_hi)
+            if b.n >= n_min and h.edges
+        ]
+    expected = [s for n in range(k, n_max + 1) for s in constructable_strings(k, n)]
+    assert sorted(covered) == sorted(expected)

@@ -360,6 +360,26 @@ class TestVerifyT2:
                     assert verdict.witness == extreme_t2(h, lab), (bits, tau, ratio)
 
 
+    @given(building_strings(max_n=11), st.data())
+    @settings(max_examples=300)
+    def test_probe_reads_built_and_tuple_twins_alike(self, b, data):
+        h = build_hypergraph(b)
+        c = data.draw(st.lists(st.integers(-20, 20), min_size=b.n, max_size=b.n))
+        built, twin = threshold._probe(h)(c), threshold._probe(Hypergraph(b.n, h.edges, b.k))(c)
+        assert built[:2] == twin[:2]
+        for edge, s in ((True, built[0]), (False, built[1])):
+            if s is not None:
+                assert built[2](edge) == twin[2](edge)
+
+    def test_probe_past_a_byte_of_vertices(self):
+        b = BuildingString(("0" + "011" * 100)[:300], 2)
+        h, lab = build_hypergraph(b), algorithm1_labels(b)
+        twin = Hypergraph(300, h.edges, 2)
+        assert threshold._probe(h)(lab.c)[:2] == threshold._probe(twin)(lab.c)[:2]
+        assert verify_t2(h, lab).holds
+        assert not verify_t2(h, Labeling(lab.c, lab.tau + 1)).holds
+
+
 class TestVerifyT3:
     def test_h1_holds(self):
         assert verify_t3(H1).holds
