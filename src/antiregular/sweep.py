@@ -45,7 +45,8 @@ def constructable_strings(k: int, n: int) -> Iterator[str]:
 def antiregular_agreement_failures(k: int, n: int) -> list[str]:
     """Cross-check every polynomial method on the antiregular instances."""
     fails = []
-    for connected in (False, True)[: _variants(k, n)]:
+    variants = [False] if n < k else [False, True]
+    for connected in variants:
         h = build_hypergraph(antiregular_string(n, k, connected))
         others = structural_routes(n, k, connected)
         ref = others.pop("recurrence")
@@ -147,7 +148,7 @@ def _task_cost(task: tuple) -> int:
 
 
 def _variants(k: int, n: int) -> int:
-    """Antiregular instances on n vertices: the connected one needs n >= k."""
+    """Antiregular instances on n vertices: a connected one needs n >= k."""
     return 1 if n < k else 2
 
 
@@ -159,7 +160,7 @@ def _run_task(task: tuple) -> tuple[str, int, list[str]]:
 
 
 def _walk_tasks(k: int, n_max: int) -> list[tuple]:
-    """One task for the strings shorter than k + SPLIT_BITS, and one per subtree below that length."""
+    """Walk tasks for one k: each prefix of length k + SPLIT_BITS, and the shorter strings."""
     depth = k + SPLIT_BITS
     tasks = [("walk", k, "0", 1, min(depth - 1, n_max))]
     if n_max >= depth:

@@ -102,7 +102,7 @@ def _label_step(state, bit: str, k: int):
     if not opened:
         return c + (2,), tau, False
     heaviest = sum(sorted(c)[1 - k :])
-    return tuple(2 * v for v in c) + (2 * tau + 1 - 2 * heaviest,), 2 * tau + 1, True
+    return (*[2 * v for v in c], 2 * tau + 1 - 2 * heaviest), 2 * tau + 1, True
 
 
 # ── verification ────────────────────────────────────────────────────────────
