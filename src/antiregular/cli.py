@@ -80,6 +80,8 @@ def _string_input(string: str | None, k: int | None, file: str | None):
             raise click.UsageError("--string requires --k")
         b = BuildingString(string, k)
         return build_hypergraph(b), b
+    if k is not None:
+        raise click.UsageError("--k goes with --string; a hypergraph file carries its own k")
     return _load_hypergraph(file), None
 
 
@@ -209,7 +211,12 @@ def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
 @main.command()
 @click.option("--string", default=None, help="Single building string to check.")
 @click.option("--k", type=int, required=True, help="Edge size.")
-@click.option("--max-n", type=int, default=None, help="Sweep antiregular instances up to this size.")
+@click.option(
+    "--max-n",
+    type=click.IntRange(min=1),
+    default=None,
+    help="Sweep antiregular instances up to this size.",
+)
 @_format_option
 @_translate_errors
 def logconcave(string, k, max_n, fmt) -> None:

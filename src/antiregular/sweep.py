@@ -11,14 +11,17 @@ left to right, so a child takes its parent's labels through one more
 Algorithm 1 step, and its parent's edge set plus the k-subsets its new
 vertex tops.  Every string still gets the full verify_t2 and monotonicity
 checks.  The pool gets the subtrees below the prefixes of one fixed length.
+
+A task is a (function, arguments) pair whose function returns
+(polynomial_instances, string_instances, failures).  The pool runs every
+walk task, then every agreement task, in that order.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import product
-from math import comb
+from itertools import chain, product
 from typing import Iterator
 
 from .hypergraph import (
@@ -44,6 +47,11 @@ def constructable_strings(k: int, n: int) -> Iterator[str]:
 
 def antiregular_agreement_failures(k: int, n: int) -> list[str]:
     """Cross-check every polynomial method on the antiregular instances."""
+    return _agreement_task(k, n)[2]
+
+
+def _agreement_task(k: int, n: int) -> tuple[int, int, list[str]]:
+    """The agreement check of one (k, n): a connected variant needs n >= k."""
     fails = []
     variants = [False] if n < k else [False, True]
     for connected in variants:
@@ -54,12 +62,12 @@ def antiregular_agreement_failures(k: int, n: int) -> list[str]:
         for name, p in others.items():
             if p != ref:
                 fails.append(f"k={k} n={n} connected={connected}: {name} != recurrence")
-    return fails
+    return len(variants), 0, fails
 
 
 def t2_soundness_failures(k: int, n: int) -> list[str]:
     """Label every constructable string of length n and verify threshold + monotonicity."""
-    return _walk_failures(k, "0", n, n)[1]
+    return _walk_task(k, "0", n, n)[2]
 
 
 def _prefix_tree(
@@ -92,10 +100,10 @@ def _prefix_tree(
                 stack.append(child(node, "1"))
 
 
-def _walk_failures(k: int, prefix: str, n_min: int, n_max: int) -> tuple[int, list[str]]:
+def _walk_task(k: int, prefix: str, n_min: int, n_max: int) -> tuple[int, int, list[str]]:
     """Check every constructable string of length n_min..n_max extending prefix.
 
-    Returns how many strings were checked and their failures.
+    Returns (0, strings checked, failures): a walk checks no polynomials.
     """
     checked, fails = 0, []
     for b, h, lab in _prefix_tree(k, prefix, n_max):
@@ -107,7 +115,7 @@ def _walk_failures(k: int, prefix: str, n_min: int, n_max: int) -> tuple[int, li
         mono = check_label_monotonicity(b, lab)
         if not mono.holds:
             fails.append(f"k={k} {b.bits}: monotonicity clause {mono.violated_clause}")
-    return checked, fails
+    return 0, checked, fails
 
 
 @dataclass
@@ -123,50 +131,25 @@ class SweepReport:
         return not self.failures
 
 
-def _strings_below(k: int, prefix: str, n: int) -> int:
-    """Constructable strings of length n >= len(prefix) that extend prefix.
-
-    Past a 1-bit every bit is free.  Otherwise the first 1-bit sits at some
-    f from max(k, len(prefix) + 1) to n, and the n - f later bits are free.
-    """
-    if "1" in prefix:
-        return 2 ** (n - len(prefix))
-    return 2 ** (n + 1 - max(k, len(prefix) + 1)) - 1 if n >= k else 0
-
-
-def _task_cost(task: tuple) -> int:
-    """Work estimate for scheduling: instances times the k-subsets of each.
-
-    An agreement task checks the antiregular variants of one (k, n); a walk
-    task checks the strings of n_min..n_max vertices below one prefix.
-    """
-    if task[0] == "agree":
-        _, k, n = task
-        return _variants(k, n) * comb(n, k)
-    _, k, prefix, n_min, n_max = task
-    return sum(_strings_below(k, prefix, n) * comb(n, k) for n in range(n_min, n_max + 1))
-
-
-def _variants(k: int, n: int) -> int:
-    """Antiregular instances on n vertices: a connected one needs n >= k."""
-    return 1 if n < k else 2
-
-
-def _run_task(task: tuple) -> tuple[str, int, list[str]]:
-    kind, k, *args = task
-    if kind == "agree":
-        return kind, _variants(k, *args), antiregular_agreement_failures(k, *args)
-    return kind, *_walk_failures(k, *args)
-
-
 def _walk_tasks(k: int, n_max: int) -> list[tuple]:
     """Walk tasks for one k: each prefix of length k + SPLIT_BITS, and the shorter strings."""
     depth = k + SPLIT_BITS
-    tasks = [("walk", k, "0", 1, min(depth - 1, n_max))]
+    tasks = [(_walk_task, (k, "0", 1, min(depth - 1, n_max)))]
     if n_max >= depth:
         prefixes = ["0" * depth, *constructable_strings(k, depth)]
-        tasks += [("walk", k, p, depth, n_max) for p in prefixes]
+        tasks += [(_walk_task, (k, p, depth, n_max)) for p in prefixes]
     return tasks
+
+
+def _tasks(k_max: int, n_max: int) -> list[tuple]:
+    """Every walk task, then every agreement task: the order the pool runs them in.
+
+    The walks hold nearly all the work; the small agreement tasks then fill
+    whatever a worker has left idle at the end.
+    """
+    ks = range(2, k_max + 1)
+    tasks = [t for k in ks for t in _walk_tasks(k, n_max)]
+    return tasks + [(_agreement_task, (k, n)) for k in ks for n in range(1, n_max + 1)]
 
 
 def default_workers() -> int:
@@ -196,24 +179,14 @@ def run_sweep(k_max: int, n_max: int, workers: int | None = None) -> SweepReport
         raise ValueError("need k_max >= 2 and n_max >= 1")
     if workers is None:
         workers = default_workers()
-    tasks = [("agree", k, n) for k in range(2, k_max + 1) for n in range(1, n_max + 1)]
-    tasks += [t for k in range(2, k_max + 1) for t in _walk_tasks(k, n_max)]
-    # largest first, so no worker is left alone with a big task at the end;
-    # the report does not depend on the order, since counts are summed and
-    # failures sorted
-    tasks.sort(key=_task_cost, reverse=True)
-    report = SweepReport(k_max, n_max)
+    tasks = _tasks(k_max, n_max)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # late: a cold CLI call skips it
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, tasks))
+            futures = [pool.submit(fn, *args) for fn, args in tasks]
+            results = [f.result() for f in futures]
     else:
-        results = [_run_task(t) for t in tasks]
-    for kind, count, fails in results:
-        if kind == "agree":
-            report.polynomial_instances += count
-        else:
-            report.string_instances += count
-        report.failures.extend(fails)
-    report.failures.sort()
-    return report
+        results = [fn(*args) for fn, args in tasks]
+    # the report does not depend on the order: counts are summed, failures sorted
+    polys, strings, fails = zip(*results)
+    return SweepReport(k_max, n_max, sum(polys), sum(strings), sorted(chain.from_iterable(fails)))

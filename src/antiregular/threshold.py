@@ -224,23 +224,14 @@ class IntervalDecomposition:
     zero_intervals: tuple[tuple[int, int], ...]
     one_intervals: tuple[tuple[int, int], ...]
 
-    def ordered_runs(self) -> list[tuple[int, int, int]]:
-        """(bit, lo, hi) runs in position order."""
-        runs = [(0, lo, hi) for lo, hi in self.zero_intervals]
-        runs += [(1, lo, hi) for lo, hi in self.one_intervals]
-        return sorted(runs, key=lambda r: r[1])
+
+_RUNS = re.compile("0+|1+")
 
 
 def intervals(b: BuildingString) -> IntervalDecomposition:
-    zeros: list[tuple[int, int]] = []
-    ones: list[tuple[int, int]] = []
-    bits = b.bits
-    lo = 1
-    for i in range(2, len(bits) + 2):
-        if i > len(bits) or bits[i - 1] != bits[lo - 1]:
-            (zeros if bits[lo - 1] == "0" else ones).append((lo, i - 1))
-            lo = i
-    return IntervalDecomposition(tuple(zeros), tuple(ones))
+    # a building string opens with a 0-bit, so its maximal runs alternate 0, 1, 0, ...
+    runs = tuple((m.start() + 1, m.end()) for m in _RUNS.finditer(b.bits))
+    return IntervalDecomposition(runs[::2], runs[1::2])
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,11 @@ class TestIpoly:
         res = invoke(runner, "ipoly", "--string", "00101", "--k", "3", "--file", path)
         assert res.exit_code == 2
 
+    def test_k_with_file_is_usage_error(self, runner, tmp_path):
+        path = write_json(tmp_path, "h1.json", H1_JSON)
+        res = invoke(runner, "ipoly", "--file", path, "--k", "9")
+        assert res.exit_code == 2 and "its own k" in res.stderr
+
     def test_guard_exit_code(self, runner, tmp_path):
         big = write_json(tmp_path, "big.json", {"k": 3, "n": 41, "edges": []})
         res = invoke(runner, "ipoly", "--file", big, "--method", "trinks")
@@ -218,6 +223,12 @@ class TestVerifyT2:
         assert res.exit_code == 2
         assert "building string" in res.stderr
 
+    def test_k_with_file_is_usage_error(self, runner, tmp_path):
+        hpath = write_json(tmp_path, "h1.json", H1_JSON)
+        lpath = write_json(tmp_path, "lab.json", {"c": ["-2", "-1", "0", "1", "2"], "tau": "0"})
+        res = invoke(runner, "verify-t2", "--file", hpath, "--k", "3", "--labels", lpath)
+        assert res.exit_code == 2 and "its own k" in res.stderr
+
     def test_labels_file(self, runner, tmp_path):
         hpath = write_json(tmp_path, "h1.json", H1_JSON)
         lpath = write_json(tmp_path, "lab.json", {"c": ["-2", "-1", "0", "1", "2"], "tau": "0"})
@@ -310,6 +321,11 @@ class TestDegrees:
         path = write_json(tmp_path, "h1.json", H1_JSON)
         res = invoke(runner, "degrees", "--file", path)
         assert json.loads(res.stdout)["degrees"] == ["1", "2", "2", "3", "4"]
+
+    def test_k_with_file_is_usage_error(self, runner, tmp_path):
+        path = write_json(tmp_path, "h1.json", H1_JSON)
+        res = invoke(runner, "degrees", "--file", path, "--k", "5")
+        assert res.exit_code == 2 and "its own k" in res.stderr
 
 
 class TestFeasibleT2:
@@ -409,6 +425,11 @@ class TestLogconcave:
     def test_needs_some_input(self, runner):
         res = invoke(runner, "logconcave", "--k", "3")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("max_n", ["0", "-4"])
+    def test_max_n_below_one_is_usage_error(self, runner, max_n):
+        res = invoke(runner, "logconcave", "--k", "3", "--max-n", max_n)
+        assert res.exit_code == 2 and res.stdout == ""
 
     def test_string_has_no_size_guard(self, runner):
         string = antiregular_string(60, 3, True).bits

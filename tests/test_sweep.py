@@ -121,22 +121,12 @@ def test_failures_from_a_broken_step_are_reported_alike(monkeypatch):
         assert run_sweep(k_max, n_max, 2) == expected
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_string_counts_below_a_prefix(k):
-    for n in range(1, 10):
-        strings = [*constructable_strings(k, n)]
-        for m in range(1, n + 1):
-            for prefix in {s[:m] for s in strings} | {"0" * m}:
-                count = sum(s.startswith(prefix) for s in strings)
-                assert sweep._strings_below(k, prefix, n) == count, (prefix, n)
-
-
 @pytest.mark.parametrize("n_max", [1, 3, 4, 8, 12])
 def test_walk_tasks_split_the_tree(n_max):
     # the tasks of one k cover each constructable string once, all lengths
     k = 3
     covered = []
-    for _, _, prefix, n_min, n_hi in sweep._walk_tasks(k, n_max):
+    for _, (_, prefix, n_min, n_hi) in sweep._walk_tasks(k, n_max):
         covered += [
             b.bits
             for b, h, _ in sweep._prefix_tree(k, prefix, n_hi)
@@ -144,3 +134,12 @@ def test_walk_tasks_split_the_tree(n_max):
         ]
     expected = [s for n in range(k, n_max + 1) for s in constructable_strings(k, n)]
     assert sorted(covered) == sorted(expected)
+
+
+@pytest.mark.parametrize("k_max, n_max", [(2, 1), (3, 5), (5, 13)])
+def test_tasks_run_every_walk_before_every_agreement(k_max, n_max):
+    tasks = sweep._tasks(k_max, n_max)
+    walks = [t for k in range(2, k_max + 1) for t in sweep._walk_tasks(k, n_max)]
+    agreements = [(k, n) for k in range(2, k_max + 1) for n in range(1, n_max + 1)]
+    assert tasks[: len(walks)] == walks
+    assert tasks[len(walks) :] == [(sweep._agreement_task, args) for args in agreements]

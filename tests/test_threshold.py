@@ -439,10 +439,13 @@ class TestIntervals:
     @settings(max_examples=60)
     def test_runs_partition_positions(self, b):
         dec = intervals(b)
-        rebuilt = []
-        for bit, lo, hi in dec.ordered_runs():
-            rebuilt += [str(bit)] * (hi - lo + 1)
-        assert "".join(rebuilt) == b.bits
+        runs = sorted(
+            [(lo, hi, "0") for lo, hi in dec.zero_intervals]
+            + [(lo, hi, "1") for lo, hi in dec.one_intervals]
+        )
+        assert "".join(bit * (hi - lo + 1) for lo, hi, bit in runs) == b.bits
+        # maximal runs: neighbours differ
+        assert all(x[2] != y[2] for x, y in zip(runs, runs[1:]))
 
 
 def pairwise_monotonicity(b, labeling):
