@@ -1,21 +1,23 @@
-"""Command line interface.
+"""Command line interface: ``antiregular COMMAND [OPTIONS]``.
 
 Every command emits JSON by default (--format text for a terse human
-form).  Exit codes: 0 success / property holds, 1 property fails (the
-witness is in the output), 2 usage error, 3 instance-size guard exceeded
-(only ipoly has guards, on its exponential routes).
-Unbounded integers (labels, thresholds, coefficients, degrees) are always
-serialized as decimal strings.
+form), and takes --help (or -h).  Exit codes: 0 success / property holds,
+1 property fails (the witness is in the output), 2 usage error, 3
+instance-size guard exceeded (only ipoly has guards, on its exponential
+routes).  Unbounded integers (labels, thresholds, coefficients, degrees)
+are always serialized as decimal strings, of any length.
+
+Each command is a plain function.  ``COMMANDS`` maps its name to the
+function and its options, as ``argparse`` keyword arguments, and ``main``
+builds a parser for the named command only.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import sys
 from pathlib import Path
-
-import click
 
 from .errors import GuardExceeded
 from .hypergraph import (
@@ -32,70 +34,41 @@ from .hypergraph import (
 # ipoly, threshold and sweep are imported inside the commands that run them,
 # so a cold call to any other command never loads or compiles them.
 
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "text"]),
-    default="json",
-    show_default=True,
-    help="Output format.",
-)
-
-
-def _translate_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except GuardExceeded as exc:
-            click.echo(f"guard exceeded: {exc}", err=True)
-            sys.exit(3)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
-
-    return wrapper
-
 
 def _emit(payload: dict, fmt: str, lines: list[str]) -> None:
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
     else:
         for line in lines:
-            click.echo(line)
+            print(line)
+
+
+def _read(path: str, what: str, parse):
+    """parse(text of path); a file that cannot be read or decoded is a usage error."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read {what} from {path}: {exc}") from exc
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
-    try:
-        return hypergraph_from_json(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read hypergraph from {path}: {exc}")
+    return _read(path, "hypergraph", hypergraph_from_json)
 
 
 def _string_input(string: str | None, k: int | None, file: str | None):
     """Resolve the (--string --k | --file) alternative to (H, maybe string)."""
     if (string is None) == (file is None):
-        raise click.UsageError("provide exactly one of --string or --file")
+        raise ValueError("provide exactly one of --string or --file")
     if string is not None:
         if k is None:
-            raise click.UsageError("--string requires --k")
+            raise ValueError("--string requires --k")
         b = BuildingString(string, k)
         return build_hypergraph(b), b
     if k is not None:
-        raise click.UsageError("--k goes with --string; a hypergraph file carries its own k")
+        raise ValueError("--k goes with --string; a hypergraph file carries its own k")
     return _load_hypergraph(file), None
 
 
-@click.group()
-def main() -> None:
-    """Independence polynomials and threshold labelings of k-uniform hypergraphs."""
-
-
-@main.command()
-@click.option("--n", type=int, required=True, help="Vertex count.")
-@click.option("--k", type=int, required=True, help="Edge size.")
-@click.option("--connected", is_flag=True, help="Connected variant.")
-@_format_option
-@_translate_errors
 def gen(n: int, k: int, connected: bool, fmt: str) -> None:
     """Emit the antiregular building string for (n, k)."""
     b = antiregular_string(n, k, connected)
@@ -103,11 +76,6 @@ def gen(n: int, k: int, connected: bool, fmt: str) -> None:
     _emit(payload, fmt, [b.bits])
 
 
-@main.command()
-@click.option("--string", required=True, help="Building string.")
-@click.option("--k", type=int, required=True, help="Edge size.")
-@_format_option
-@_translate_errors
 def build(string: str, k: int, fmt: str) -> None:
     """Build the hypergraph a building string encodes."""
     h = build_hypergraph(BuildingString(string, k))
@@ -120,25 +88,6 @@ def build(string: str, k: int, fmt: str) -> None:
 _METHODS = ["brute", "trinks", "recurrence", "closed", "semiclosed", "all"]
 
 
-@main.command()
-@click.option("--string", default=None, help="Building string.")
-@click.option("--k", type=int, default=None, help="Edge size (with --string).")
-@click.option("--file", default=None, help="Hypergraph JSON file.")
-@click.option(
-    "--method",
-    type=click.Choice(_METHODS),
-    default="all",
-    show_default=True,
-    help="Computation method; 'all' runs every applicable one and cross-checks, "
-    "skipping any its size guard refuses.",
-)
-@_format_option
-@click.option(
-    "--unsafe-no-guard",
-    is_flag=True,
-    help="Disable instance-size guards (may run for a very long time).",
-)
-@_translate_errors
 def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
     """Independence polynomial of a built or loaded hypergraph."""
     from .ipoly import (
@@ -151,7 +100,7 @@ def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
     )
 
     if unsafe_no_guard:
-        click.echo("warning: instance-size guards disabled", err=True)
+        print("warning: instance-size guards disabled", file=sys.stderr)
     guard = not unsafe_no_guard
     h, b = _string_input(string, k, file)
     structural = b is not None and b.is_antiregular()
@@ -163,14 +112,12 @@ def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
         if name == "trinks":
             return ipoly_trinks(h, guard=guard)
         if not structural:
-            raise click.UsageError(
-                f"method {name} needs an antiregular building string"
-            )
+            raise ValueError(f"method {name} needs an antiregular building string")
         if name == "recurrence":
             return ipoly_antiregular_recurrence(h.n, h.k, connected)
         if name == "closed":
             if h.k != 3:
-                raise click.UsageError("closed form only exists for k=3")
+                raise ValueError("closed form only exists for k=3")
             return ipoly_k3_closed(h.n, connected)
         return ipoly_semiclosed(h.n, h.k, connected)
 
@@ -208,23 +155,14 @@ def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
         sys.exit(1)
 
 
-@main.command()
-@click.option("--string", default=None, help="Single building string to check.")
-@click.option("--k", type=int, required=True, help="Edge size.")
-@click.option(
-    "--max-n",
-    type=click.IntRange(min=1),
-    default=None,
-    help="Sweep antiregular instances up to this size.",
-)
-@_format_option
-@_translate_errors
 def logconcave(string, k, max_n, fmt) -> None:
     """Check log-concavity of independence polynomial coefficients."""
     from .ipoly import ipoly_antiregular_recurrence, ipoly_string, is_log_concave
 
     if string is None and max_n is None:
-        raise click.UsageError("provide --string and/or --max-n")
+        raise ValueError("provide --string and/or --max-n")
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, not {max_n}")
     witnesses = []
     checked = 0
     if string is not None:
@@ -255,11 +193,6 @@ def logconcave(string, k, max_n, fmt) -> None:
         sys.exit(1)
 
 
-@main.command()
-@click.option("--string", required=True, help="Building string.")
-@click.option("--k", type=int, required=True, help="Edge size.")
-@_format_option
-@_translate_errors
 def label(string: str, k: int, fmt: str) -> None:
     """Threshold labels for a building string (file-ready labeling JSON)."""
     from .threshold import algorithm1_labels
@@ -269,13 +202,6 @@ def label(string: str, k: int, fmt: str) -> None:
     _emit(lab.to_json(), fmt, lines)
 
 
-@main.command("verify-t2")
-@click.option("--string", default=None, help="Building string.")
-@click.option("--k", type=int, default=None, help="Edge size (with --string).")
-@click.option("--file", default=None, help="Hypergraph JSON file.")
-@click.option("--labels", required=True, help="Labeling JSON file, or 'auto'.")
-@_format_option
-@_translate_errors
 def verify_t2_cmd(string, k, file, labels, fmt) -> None:
     """Check that a labeling realizes the hypergraph as a sum threshold."""
     from .threshold import Labeling, algorithm1_labels, verify_t2
@@ -283,15 +209,12 @@ def verify_t2_cmd(string, k, file, labels, fmt) -> None:
     h, b = _string_input(string, k, file)
     if labels == "auto":
         if b is None:
-            raise click.UsageError(
+            raise ValueError(
                 "auto labels require a building string; give --labels a file for --file input"
             )
         lab = algorithm1_labels(b)
     else:
-        try:
-            lab = Labeling.from_json(Path(labels).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise click.UsageError(f"cannot read labeling from {labels}: {exc}")
+        lab = _read(labels, "labeling", Labeling.from_json)
     verdict = verify_t2(h, lab)
     payload = {"holds": verdict.holds}
     if verdict.witness is not None:
@@ -302,10 +225,6 @@ def verify_t2_cmd(string, k, file, labels, fmt) -> None:
         sys.exit(1)
 
 
-@main.command("verify-t3")
-@click.option("--file", required=True, help="Hypergraph JSON file.")
-@_format_option
-@_translate_errors
 def verify_t3_cmd(file, fmt) -> None:
     """Check that replacement order compares every vertex pair."""
     from .threshold import verify_t3
@@ -320,12 +239,6 @@ def verify_t3_cmd(file, fmt) -> None:
         sys.exit(1)
 
 
-@main.command()
-@click.option("--string", default=None, help="Building string.")
-@click.option("--k", type=int, default=None, help="Edge size (with --string).")
-@click.option("--file", default=None, help="Hypergraph JSON file.")
-@_format_option
-@_translate_errors
 def degrees(string, k, file, fmt) -> None:
     """Vertex degree sequence in label order."""
     h, _ = _string_input(string, k, file)
@@ -334,10 +247,6 @@ def degrees(string, k, file, fmt) -> None:
     _emit(payload, fmt, [" ".join(map(str, seq))])
 
 
-@main.command("feasible-t2")
-@click.option("--file", required=True, help="Hypergraph JSON file.")
-@_format_option
-@_translate_errors
 def feasible_t2_cmd(file, fmt) -> None:
     """Decide rational sum-threshold feasibility; witness labels or a certificate."""
     from .threshold import t2_feasibility
@@ -359,10 +268,6 @@ def feasible_t2_cmd(file, fmt) -> None:
         sys.exit(1)
 
 
-@main.command()
-@click.option("--file", required=True, help="Hypergraph JSON file.")
-@_format_option
-@_translate_errors
 def recognize(file, fmt) -> None:
     """Recover a building string, or report that none exists."""
     b = recognize_zero_one_constructable(_load_hypergraph(file))
@@ -373,11 +278,6 @@ def recognize(file, fmt) -> None:
     _emit(payload, fmt, [b.bits])
 
 
-@main.command()
-@click.option("--k-max", type=int, required=True, help="Largest edge size.")
-@click.option("--n-max", type=int, required=True, help="Largest vertex count.")
-@_format_option
-@_translate_errors
 def sweep(k_max, n_max, fmt) -> None:
     """Exhaustive polynomial-agreement and labeling sweep (parallel).
 
@@ -403,6 +303,104 @@ def sweep(k_max, n_max, fmt) -> None:
     _emit(payload, fmt, lines)
     if not report.ok:
         sys.exit(1)
+
+
+_STRING_K = {
+    "--string": {"required": True, "help": "Building string."},
+    "--k": {"type": int, "required": True, "help": "Edge size."},
+}
+_STRING_K_FILE = {
+    "--string": {"help": "Building string."},
+    "--k": {"type": int, "help": "Edge size (with --string)."},
+    "--file": {"help": "Hypergraph JSON file."},
+}
+_FILE = {"--file": {"required": True, "help": "Hypergraph JSON file."}}
+
+# command -> (function, {option: argparse keyword arguments}); main adds --format
+COMMANDS = {
+    "gen": (gen, {
+        "--n": {"type": int, "required": True, "help": "Vertex count."},
+        "--k": {"type": int, "required": True, "help": "Edge size."},
+        "--connected": {"action": "store_true", "help": "Connected variant."},
+    }),
+    "build": (build, _STRING_K),
+    "ipoly": (ipoly, {
+        **_STRING_K_FILE,
+        "--method": {
+            "choices": _METHODS,
+            "default": "all",
+            "help": "Computation method (default: all); 'all' runs every applicable one "
+            "and cross-checks, skipping any its size guard refuses.",
+        },
+        "--unsafe-no-guard": {
+            "action": "store_true",
+            "help": "Disable instance-size guards (may run for a very long time).",
+        },
+    }),
+    "logconcave": (logconcave, {
+        "--string": {"help": "Single building string to check."},
+        "--k": {"type": int, "required": True, "help": "Edge size."},
+        "--max-n": {"type": int, "help": "Sweep antiregular instances up to this size (>= 1)."},
+    }),
+    "label": (label, _STRING_K),
+    "verify-t2": (verify_t2_cmd, {
+        **_STRING_K_FILE,
+        "--labels": {"required": True, "help": "Labeling JSON file, or 'auto'."},
+    }),
+    "verify-t3": (verify_t3_cmd, _FILE),
+    "degrees": (degrees, _STRING_K_FILE),
+    "feasible-t2": (feasible_t2_cmd, _FILE),
+    "recognize": (recognize, _FILE),
+    "sweep": (sweep, {
+        "--k-max": {"type": int, "required": True, "help": "Largest edge size."},
+        "--n-max": {"type": int, "required": True, "help": "Largest vertex count."},
+    }),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _usage_error(prog: str, message: str) -> None:
+    print(f"Usage: {prog} [OPTIONS]\nTry '{prog} --help' for help.\n\nError: {message}",
+          file=sys.stderr)
+    sys.exit(2)
+
+
+def main(args: list[str] | None = None, prog_name: str = "antiregular") -> None:
+    """Run the command that args (default: sys.argv[1:]) name."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # labels and coefficients outgrow 4,300 digits
+    args = sys.argv[1:] if args is None else list(args)
+    if args[:1] in (["-h"], ["--help"]):
+        print(f"Usage: {prog_name} COMMAND [OPTIONS]\n\n"
+              "Independence polynomials and threshold labelings of k-uniform hypergraphs.\n\n"
+              "Commands:")
+        for name, (fn, _) in COMMANDS.items():
+            print(f"  {name:<12} {fn.__doc__.splitlines()[0]}")
+        return
+    if not args or args[0] not in COMMANDS:
+        _usage_error(prog_name, f"No such command '{args[0]}'." if args else "Missing command.")
+    fn, options = COMMANDS[args[0]]
+    prog = f"{prog_name} {args[0]}"
+    try:
+        parser = _Parser(prog=prog, description=fn.__doc__, allow_abbrev=False)
+        for flag, spec in options.items():
+            parser.add_argument(flag, **spec)
+        parser.add_argument("--format", dest="fmt", choices=["json", "text"], default="json",
+                            help="Output format (default: json).")
+        parsed, extra = parser.parse_known_args(args[1:])
+        if extra:
+            raise ValueError(f"No such option '{extra[0]}'." if extra[0].startswith("-")
+                             else f"Got unexpected extra argument ({extra[0]})")
+        fn(**vars(parsed))
+    except GuardExceeded as exc:
+        print(f"guard exceeded: {exc}", file=sys.stderr)
+        sys.exit(3)
+    except ValueError as exc:
+        _usage_error(prog, str(exc))
 
 
 if __name__ == "__main__":

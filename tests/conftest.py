@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 from hypothesis import strategies as st
 
 import antiregular
 from antiregular import BuildingString, Hypergraph
+from antiregular.cli import main
 
 
 @st.composite
@@ -52,3 +57,18 @@ def fresh_interpreter(code: str, cwd=None) -> str:
         text=True,
         check=True,
     ).stdout
+
+
+def invoke(args, env=None) -> SimpleNamespace:
+    """Run the CLI in this process: its exit_code, stdout and stderr.
+
+    The program is named "main" in usage lines, as the frozen outputs record.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(list(args), prog_name="main")
+            code = 0
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return SimpleNamespace(exit_code=code, stdout=out.getvalue(), stderr=err.getvalue())

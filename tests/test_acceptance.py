@@ -10,8 +10,6 @@ from collections import Counter
 from contextlib import contextmanager
 from time import perf_counter
 
-from click.testing import CliRunner
-
 from antiregular import (
     BuildingString,
     Hypergraph,
@@ -34,9 +32,9 @@ from antiregular import (
     t2_feasibility,
     verify_t2,
 )
-from antiregular.cli import main
 from antiregular.polynomial import Poly
 from antiregular.sweep import constructable_strings
+from conftest import invoke
 
 H1 = Hypergraph(5, frozenset([(1, 4, 5), (2, 3, 5), (2, 4, 5), (3, 4, 5)]), 3)
 H2 = Hypergraph(5, frozenset([(1, 2, 3), (1, 3, 4), (2, 3, 5), (3, 4, 5)]), 3)
@@ -62,11 +60,7 @@ def criterion(number: int, description: str, limit_seconds: float):
 
 def test_criterion_1_label_construction_fidelity():
     with criterion(1, "label construction on the two 13-vertex strings", 1.0):
-        runner = CliRunner()
-        res = runner.invoke(
-            main, ["label", "--string", "0010100011101", "--k", "3"],
-            catch_exceptions=False,
-        )
+        res = invoke(["label", "--string", "0010100011101", "--k", "3"])
         assert res.exit_code == 0
         assert json.loads(res.stdout) == {
             "c": [
@@ -75,10 +69,7 @@ def test_criterion_1_label_construction_fidelity():
             ],
             "tau": "223",
         }
-        res = runner.invoke(
-            main, ["label", "--string", "0010101010101", "--k", "3"],
-            catch_exceptions=False,
-        )
+        res = invoke(["label", "--string", "0010101010101", "--k", "3"])
         assert res.exit_code == 0
         assert json.loads(res.stdout) == {
             "c": [

@@ -1,23 +1,14 @@
 import json
 import os
+import re
+import sys
 from itertools import combinations
 
 import pytest
-from click.testing import CliRunner
 
 from antiregular import antiregular_string, run_sweep, sweep
-from antiregular.cli import main
 from antiregular.sweep import default_workers
-from conftest import fresh_interpreter
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args, env=None):
-    return runner.invoke(main, list(args), env=env, catch_exceptions=False)
+from conftest import fresh_interpreter, invoke
 
 
 def write_json(tmp_path, name, obj):
@@ -37,9 +28,69 @@ FM10_JSON = {
 BIG41_JSON = {"k": 3, "n": 41, "edges": []}  # 10,660 k-subsets
 
 
+# every option of every command, as its --help must name them
+OPTIONS = {
+    "gen": ["--n", "--k", "--connected"],
+    "build": ["--string", "--k"],
+    "ipoly": ["--string", "--k", "--file", "--method", "--unsafe-no-guard"],
+    "logconcave": ["--string", "--k", "--max-n"],
+    "label": ["--string", "--k"],
+    "verify-t2": ["--string", "--k", "--file", "--labels"],
+    "verify-t3": ["--file"],
+    "degrees": ["--string", "--k", "--file"],
+    "feasible-t2": ["--file"],
+    "recognize": ["--file"],
+    "sweep": ["--k-max", "--n-max"],
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("cmd", OPTIONS)
+    def test_help_names_every_option(self, cmd):
+        res = invoke([cmd, "--help"])
+        assert res.exit_code == 0 and res.stderr == ""
+        named = set(re.findall(r"--[a-z][a-z0-9-]*", res.stdout))
+        assert named == {*OPTIONS[cmd], "--format", "--help"}
+
+    def test_help_lists_every_command(self):
+        res = invoke(["--help"])
+        assert res.exit_code == 0
+        assert all(cmd in res.stdout for cmd in OPTIONS)
+
+    def test_short_help(self):
+        res = invoke(["gen", "-h"])
+        assert res.exit_code == 0 and "--connected" in res.stdout
+
+    def test_no_command_is_usage_error(self):
+        assert invoke([]).exit_code == 2
+
+    def test_unknown_command_is_usage_error(self):
+        res = invoke(["x"])
+        assert res.exit_code == 2 and "No such command 'x'." in res.stderr
+
+    def test_abbreviated_option_is_refused(self):
+        res = invoke(["gen", "--n", "5", "--k", "3", "--conn"])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert "No such option '--conn'." in res.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen", "--n", "5", "--k", "3", "extra"],
+            ["gen", "--n", "x", "--k", "3"],
+            ["gen", "--k", "3"],
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, args):
+        res = invoke(args)
+        assert res.exit_code == 2 and res.stdout == ""
+        frame = f"Usage: main {args[0]} [OPTIONS]\nTry 'main {args[0]} --help' for help.\n\nError: "
+        assert res.stderr.startswith(frame)
+
+
 class TestGen:
-    def test_json(self, runner):
-        res = invoke(runner, "gen", "--n", "5", "--k", "3", "--connected")
+    def test_json(self):
+        res = invoke(["gen", "--n", "5", "--k", "3", "--connected"])
         assert res.exit_code == 0
         assert json.loads(res.stdout) == {
             "string": "00101",
@@ -48,18 +99,18 @@ class TestGen:
             "connected": True,
         }
 
-    def test_text(self, runner):
-        res = invoke(runner, "gen", "--n", "6", "--k", "3", "--format", "text")
+    def test_text(self):
+        res = invoke(["gen", "--n", "6", "--k", "3", "--format", "text"])
         assert res.exit_code == 0 and res.stdout.strip() == "001010"
 
-    def test_connected_too_small_is_usage_error(self, runner):
-        res = invoke(runner, "gen", "--n", "2", "--k", "3", "--connected")
+    def test_connected_too_small_is_usage_error(self):
+        res = invoke(["gen", "--n", "2", "--k", "3", "--connected"])
         assert res.exit_code == 2
 
 
 class TestBuild:
-    def test_schema(self, runner):
-        res = invoke(runner, "build", "--string", "00101", "--k", "3")
+    def test_schema(self):
+        res = invoke(["build", "--string", "00101", "--k", "3"])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert payload["n"] == 5 and payload["k"] == 3
@@ -73,14 +124,14 @@ class TestBuild:
             [3, 4, 5],
         ]
 
-    def test_early_one_is_usage_error(self, runner):
-        res = invoke(runner, "build", "--string", "0100", "--k", "3")
+    def test_early_one_is_usage_error(self):
+        res = invoke(["build", "--string", "0100", "--k", "3"])
         assert res.exit_code == 2
 
 
 class TestIpoly:
-    def test_all_methods_agree(self, runner):
-        res = invoke(runner, "ipoly", "--string", "00101", "--k", "3")
+    def test_all_methods_agree(self):
+        res = invoke(["ipoly", "--string", "00101", "--k", "3"])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert payload["agree"] is True
@@ -93,55 +144,53 @@ class TestIpoly:
         }
         assert all(v == ["1", "5", "10", "3"] for v in payload["methods"].values())
 
-    def test_file_input_runs_generic_methods_only(self, runner, tmp_path):
+    def test_file_input_runs_generic_methods_only(self, tmp_path):
         path = write_json(tmp_path, "h1.json", H1_JSON)
-        res = invoke(runner, "ipoly", "--file", path)
+        res = invoke(["ipoly", "--file", path])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert set(payload["methods"]) == {"brute", "trinks"}
         assert payload["methods"]["brute"] == ["1", "5", "10", "6", "1"]
 
-    def test_structural_method_on_file_is_usage_error(self, runner, tmp_path):
+    def test_structural_method_on_file_is_usage_error(self, tmp_path):
         path = write_json(tmp_path, "h1.json", H1_JSON)
-        res = invoke(runner, "ipoly", "--file", path, "--method", "recurrence")
+        res = invoke(["ipoly", "--file", path, "--method", "recurrence"])
         assert res.exit_code == 2
 
-    def test_closed_needs_k3(self, runner):
-        res = invoke(runner, "ipoly", "--string", "00011", "--k", "4", "--method", "closed")
+    def test_closed_needs_k3(self):
+        res = invoke(["ipoly", "--string", "00011", "--k", "4", "--method", "closed"])
         assert res.exit_code == 2
 
-    def test_non_antiregular_string_gets_generic_methods(self, runner):
-        res = invoke(runner, "ipoly", "--string", "00110", "--k", "3")
+    def test_non_antiregular_string_gets_generic_methods(self):
+        res = invoke(["ipoly", "--string", "00110", "--k", "3"])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert set(payload["methods"]) == {"brute", "trinks"}
         assert payload["agree"] is True
 
-    def test_string_and_file_conflict(self, runner, tmp_path):
+    def test_string_and_file_conflict(self, tmp_path):
         path = write_json(tmp_path, "h1.json", H1_JSON)
-        res = invoke(runner, "ipoly", "--string", "00101", "--k", "3", "--file", path)
+        res = invoke(["ipoly", "--string", "00101", "--k", "3", "--file", path])
         assert res.exit_code == 2
 
-    def test_k_with_file_is_usage_error(self, runner, tmp_path):
+    def test_k_with_file_is_usage_error(self, tmp_path):
         path = write_json(tmp_path, "h1.json", H1_JSON)
-        res = invoke(runner, "ipoly", "--file", path, "--k", "9")
+        res = invoke(["ipoly", "--file", path, "--k", "9"])
         assert res.exit_code == 2 and "its own k" in res.stderr
 
-    def test_guard_exit_code(self, runner, tmp_path):
+    def test_guard_exit_code(self, tmp_path):
         big = write_json(tmp_path, "big.json", {"k": 3, "n": 41, "edges": []})
-        res = invoke(runner, "ipoly", "--file", big, "--method", "trinks")
+        res = invoke(["ipoly", "--file", big, "--method", "trinks"])
         assert res.exit_code == 3
-        res = invoke(
-            runner, "ipoly", "--file", big, "--method", "trinks", "--unsafe-no-guard"
-        )
+        res = invoke(["ipoly", "--file", big, "--method", "trinks", "--unsafe-no-guard"])
         assert res.exit_code == 0
         assert "warning" in res.stderr
         payload = json.loads(res.stdout)
         assert payload["methods"]["trinks"][1] == "41"
         assert payload["agree"] is True  # a single --method keeps its true
 
-    def test_all_skips_refused_routes(self, runner):
-        res = invoke(runner, "ipoly", "--string", "00" + "10" * 20, "--k", "3")
+    def test_all_skips_refused_routes(self):
+        res = invoke(["ipoly", "--string", "00" + "10" * 20, "--k", "3"])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert list(payload) == ["n", "k", "methods", "agree", "skipped"]
@@ -152,9 +201,9 @@ class TestIpoly:
             "trinks": "deletion recursion on 42 vertices exceeds the guard of 40",
         }
 
-    def test_all_answers_by_trinks_when_brute_is_refused(self, runner, tmp_path):
+    def test_all_answers_by_trinks_when_brute_is_refused(self, tmp_path):
         big = write_json(tmp_path, "big.json", {"k": 3, "n": 31, "edges": []})
-        res = invoke(runner, "ipoly", "--file", big, "--format", "text")
+        res = invoke(["ipoly", "--file", big, "--format", "text"])
         assert res.exit_code == 0
         lines = res.stdout.splitlines()
         assert lines[0].startswith("trinks: 1 + 31x + ")
@@ -162,32 +211,30 @@ class TestIpoly:
             "agree: n/a",
             "skipped brute: brute force on 31 vertices exceeds the guard of 24",
         ]
-        res = invoke(runner, "ipoly", "--file", big, "--unsafe-no-guard")
+        res = invoke(["ipoly", "--file", big, "--unsafe-no-guard"])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert set(payload["methods"]) == {"trinks"}
         assert payload["agree"] is None
         assert "cap of 30" in payload["skipped"]["brute"]
 
-    def test_all_with_no_answering_route_exits_3(self, runner, tmp_path):
+    def test_all_with_no_answering_route_exits_3(self, tmp_path):
         big = write_json(tmp_path, "big.json", {"k": 3, "n": 41, "edges": []})
-        res = invoke(runner, "ipoly", "--file", big)
+        res = invoke(["ipoly", "--file", big])
         assert res.exit_code == 3
         assert res.stdout == ""
         assert "brute force on 41 vertices exceeds the guard of 24" in res.stderr
 
-    def test_brute_force_past_kernel_cap_is_refused(self, runner, tmp_path):
+    def test_brute_force_past_kernel_cap_is_refused(self, tmp_path):
         big = write_json(tmp_path, "big.json", {"k": 3, "n": 31, "edges": []})
-        res = invoke(
-            runner, "ipoly", "--file", big, "--method", "brute", "--unsafe-no-guard"
-        )
+        res = invoke(["ipoly", "--file", big, "--method", "brute", "--unsafe-no-guard"])
         assert res.exit_code == 3
         assert "cap of 30" in res.stderr
 
 
 class TestLabel:
-    def test_thirteen_vertex_labels_frozen(self, runner):
-        res = invoke(runner, "label", "--string", "0010100011101", "--k", "3")
+    def test_thirteen_vertex_labels_frozen(self):
+        res = invoke(["label", "--string", "0010100011101", "--k", "3"])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert payload == {
@@ -198,47 +245,47 @@ class TestLabel:
             "tau": "223",
         }
 
-    def test_edgeless_gets_base_labels(self, runner, tmp_path):
-        res = invoke(runner, "label", "--string", "000", "--k", "3")
+    def test_edgeless_gets_base_labels(self, tmp_path):
+        res = invoke(["label", "--string", "000", "--k", "3"])
         assert res.exit_code == 0
         assert json.loads(res.stdout) == {"c": ["2", "2", "2"], "tau": "6"}
         lpath = tmp_path / "lab.json"
         lpath.write_text(res.stdout)
-        res = invoke(runner, "verify-t2", "--string", "000", "--k", "3", "--labels", str(lpath))
+        res = invoke(["verify-t2", "--string", "000", "--k", "3", "--labels", str(lpath)])
         assert res.exit_code == 0 and json.loads(res.stdout) == {"holds": True}
 
 
 class TestVerifyT2:
-    def test_auto_labels(self, runner):
-        res = invoke(runner, "verify-t2", "--string", "0010101", "--k", "3", "--labels", "auto")
+    def test_auto_labels(self):
+        res = invoke(["verify-t2", "--string", "0010101", "--k", "3", "--labels", "auto"])
         assert res.exit_code == 0 and json.loads(res.stdout) == {"holds": True}
 
-    def test_auto_labels_edgeless_string(self, runner):
-        res = invoke(runner, "verify-t2", "--string", "0000", "--k", "3", "--labels", "auto")
+    def test_auto_labels_edgeless_string(self):
+        res = invoke(["verify-t2", "--string", "0000", "--k", "3", "--labels", "auto"])
         assert res.exit_code == 0
 
-    def test_auto_with_file_is_usage_error(self, runner, tmp_path):
+    def test_auto_with_file_is_usage_error(self, tmp_path):
         path = write_json(tmp_path, "h1.json", H1_JSON)
-        res = invoke(runner, "verify-t2", "--file", path, "--labels", "auto")
+        res = invoke(["verify-t2", "--file", path, "--labels", "auto"])
         assert res.exit_code == 2
         assert "building string" in res.stderr
 
-    def test_k_with_file_is_usage_error(self, runner, tmp_path):
+    def test_k_with_file_is_usage_error(self, tmp_path):
         hpath = write_json(tmp_path, "h1.json", H1_JSON)
         lpath = write_json(tmp_path, "lab.json", {"c": ["-2", "-1", "0", "1", "2"], "tau": "0"})
-        res = invoke(runner, "verify-t2", "--file", hpath, "--k", "3", "--labels", lpath)
+        res = invoke(["verify-t2", "--file", hpath, "--k", "3", "--labels", lpath])
         assert res.exit_code == 2 and "its own k" in res.stderr
 
-    def test_labels_file(self, runner, tmp_path):
+    def test_labels_file(self, tmp_path):
         hpath = write_json(tmp_path, "h1.json", H1_JSON)
         lpath = write_json(tmp_path, "lab.json", {"c": ["-2", "-1", "0", "1", "2"], "tau": "0"})
-        res = invoke(runner, "verify-t2", "--file", hpath, "--labels", lpath)
+        res = invoke(["verify-t2", "--file", hpath, "--labels", lpath])
         assert res.exit_code == 0
 
-    def test_failing_labels_print_witness(self, runner, tmp_path):
+    def test_failing_labels_print_witness(self, tmp_path):
         hpath = write_json(tmp_path, "h.json", {"k": 3, "n": 3, "edges": [[1, 2, 3]]})
         lpath = write_json(tmp_path, "lab.json", {"c": ["0", "0", "0"], "tau": "0"})
-        res = invoke(runner, "verify-t2", "--file", hpath, "--labels", lpath)
+        res = invoke(["verify-t2", "--file", hpath, "--labels", lpath])
         assert res.exit_code == 1
         assert json.loads(res.stdout) == {"holds": False, "witness": [1, 2, 3]}
 
@@ -249,51 +296,74 @@ class TestVerifyT2:
             {"c": "999", "tau": "0"},  # once read as three labels: a false pass
         ],
     )
-    def test_labels_that_need_casting_are_usage_errors(self, runner, tmp_path, labels):
+    def test_labels_that_need_casting_are_usage_errors(self, tmp_path, labels):
         hpath = write_json(tmp_path, "h.json", {"k": 3, "n": 3, "edges": [[1, 2, 3]]})
         lpath = write_json(tmp_path, "lab.json", labels)
-        res = invoke(runner, "verify-t2", "--file", hpath, "--labels", lpath)
+        res = invoke(["verify-t2", "--file", hpath, "--labels", lpath])
         assert res.exit_code == 2
         assert res.stdout == ""
         assert "labeling JSON" in res.stderr
 
-    def test_decides_past_the_old_guard(self, runner, tmp_path):
+    def test_decides_past_the_old_guard(self, tmp_path):
         hpath = write_json(tmp_path, "big31.json", {"k": 3, "n": 31, "edges": []})
         lpath = write_json(tmp_path, "zero31.json", {"c": ["0"] * 31, "tau": "0"})
-        res = invoke(runner, "verify-t2", "--file", hpath, "--labels", lpath)
+        res = invoke(["verify-t2", "--file", hpath, "--labels", lpath])
         assert res.exit_code == 0
         assert json.loads(res.stdout) == {"holds": True}
 
-    def test_has_no_guard_flag(self, runner):
+    def test_labels_past_4300_digits(self, tmp_path):
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(4300)  # the interpreter's default; main lifts it
+        hpath = write_json(tmp_path, "tri.json", {"k": 3, "n": 3, "edges": [[1, 2, 3]]})
+        lpath = write_json(tmp_path, "big.json", {"c": ["1" + "0" * 5000, "0", "0"], "tau": "0"})
+        res = invoke(["verify-t2", "--file", hpath, "--labels", lpath])
+        assert res.exit_code == 0 and json.loads(res.stdout) == {"holds": True}
+
+    def test_undecodable_labels_name_their_path(self, tmp_path):
+        hpath = write_json(tmp_path, "h1.json", H1_JSON)
+        lpath = tmp_path / "lab.json"
+        lpath.write_bytes(b"\xff\xfe")
+        res = invoke(["verify-t2", "--file", hpath, "--labels", str(lpath)])
+        assert res.exit_code == 2
+        assert f"Error: cannot read labeling from {lpath}: " in res.stderr
+
+    def test_has_no_guard_flag(self):
         args = ["verify-t2", "--string", "00101", "--k", "3", "--labels", "auto", "--unsafe-no-guard"]
-        res = invoke(runner, *args)
+        res = invoke(args)
         assert res.exit_code == 2
         assert "No such option" in res.stderr
 
 
 class TestVerifyT3:
-    def test_holds(self, runner, tmp_path):
+    def test_holds(self, tmp_path):
         path = write_json(tmp_path, "h1.json", H1_JSON)
-        res = invoke(runner, "verify-t3", "--file", path)
+        res = invoke(["verify-t3", "--file", path])
         assert res.exit_code == 0 and json.loads(res.stdout)["holds"] is True
 
-    def test_fails_with_witness(self, runner, tmp_path):
+    def test_fails_with_witness(self, tmp_path):
         path = write_json(
             tmp_path, "nc.json", {"k": 3, "n": 6, "edges": [[1, 2, 3], [3, 4, 5], [1, 5, 6]]}
         )
-        res = invoke(runner, "verify-t3", "--file", path)
+        res = invoke(["verify-t3", "--file", path])
         assert res.exit_code == 1
         assert json.loads(res.stdout)["witness"] == [2, 4]
 
-    def test_decides_past_the_old_guard(self, runner, tmp_path):
+    def test_undecodable_file_names_its_path(self, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_bytes(b"\xff\xfe")
+        res = invoke(["verify-t3", "--file", str(path)])
+        assert res.exit_code == 2
+        assert f"Error: cannot read hypergraph from {path}: " in res.stderr
+
+    def test_decides_past_the_old_guard(self, tmp_path):
         path = write_json(tmp_path, "big21.json", {"k": 3, "n": 21, "edges": []})
-        res = invoke(runner, "verify-t3", "--file", path)
+        res = invoke(["verify-t3", "--file", path])
         assert res.exit_code == 0
         assert json.loads(res.stdout) == {"holds": True}
 
-    def test_has_no_guard_flag(self, runner, tmp_path):
+    def test_has_no_guard_flag(self, tmp_path):
         path = write_json(tmp_path, "h1.json", H1_JSON)
-        res = invoke(runner, "verify-t3", "--file", path, "--unsafe-no-guard")
+        res = invoke(["verify-t3", "--file", path, "--unsafe-no-guard"])
         assert res.exit_code == 2
         assert "No such option" in res.stderr
 
@@ -305,50 +375,50 @@ class TestVerifyT3:
             {"k": True, "n": 3, "edges": [[1, 2]]},
         ],
     )
-    def test_non_integer_input_is_usage_error(self, runner, tmp_path, obj):
+    def test_non_integer_input_is_usage_error(self, tmp_path, obj):
         path = write_json(tmp_path, "bad.json", obj)
-        res = invoke(runner, "verify-t3", "--file", path)
+        res = invoke(["verify-t3", "--file", path])
         assert res.exit_code == 2
         assert "must be an integer" in res.stderr
 
 
 class TestDegrees:
-    def test_string_input(self, runner):
-        res = invoke(runner, "degrees", "--string", "00101", "--k", "3")
+    def test_string_input(self):
+        res = invoke(["degrees", "--string", "00101", "--k", "3"])
         assert json.loads(res.stdout)["degrees"] == ["4", "4", "4", "3", "6"]
 
-    def test_file_input_matches(self, runner, tmp_path):
+    def test_file_input_matches(self, tmp_path):
         path = write_json(tmp_path, "h1.json", H1_JSON)
-        res = invoke(runner, "degrees", "--file", path)
+        res = invoke(["degrees", "--file", path])
         assert json.loads(res.stdout)["degrees"] == ["1", "2", "2", "3", "4"]
 
-    def test_k_with_file_is_usage_error(self, runner, tmp_path):
+    def test_k_with_file_is_usage_error(self, tmp_path):
         path = write_json(tmp_path, "h1.json", H1_JSON)
-        res = invoke(runner, "degrees", "--file", path, "--k", "5")
+        res = invoke(["degrees", "--file", path, "--k", "5"])
         assert res.exit_code == 2 and "its own k" in res.stderr
 
 
 class TestFeasibleT2:
-    def test_feasible_with_labels(self, runner, tmp_path):
+    def test_feasible_with_labels(self, tmp_path):
         path = write_json(tmp_path, "h1.json", H1_JSON)
-        res = invoke(runner, "feasible-t2", "--file", path)
+        res = invoke(["feasible-t2", "--file", path])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert payload["feasible"] is True and "c" in payload and "tau" in payload
 
-    def test_infeasible(self, runner, tmp_path):
+    def test_infeasible(self, tmp_path):
         path = write_json(tmp_path, "h2.json", H2_JSON)
-        res = invoke(runner, "feasible-t2", "--file", path)
+        res = invoke(["feasible-t2", "--file", path])
         assert res.exit_code == 1
         assert json.loads(res.stdout) == {
             "feasible": False,
             "certificate": [[[1, 3, 4], "1"], [[1, 3, 5], "1"], [[2, 3, 4], "1"], [[2, 3, 5], "1"]],
         }
 
-    def test_printed_certificate_balances(self, runner, tmp_path):
+    def test_printed_certificate_balances(self, tmp_path):
         # two disjoint edges {1,2}, {3,4} against the non-edges {1,3}, {2,4}
         obj = {"k": 2, "n": 5, "edges": [[1, 2], [3, 4], [1, 5], [3, 5]]}
-        res = invoke(runner, "feasible-t2", "--file", write_json(tmp_path, "g.json", obj))
+        res = invoke(["feasible-t2", "--file", write_json(tmp_path, "g.json", obj)])
         assert res.exit_code == 1
         certificate = json.loads(res.stdout)["certificate"]
         edges = {tuple(e) for e in obj["edges"]}
@@ -362,9 +432,9 @@ class TestFeasibleT2:
                 net[v - 1] += sign * w
         assert edge_weight > 0 and net == [0] * obj["n"]
 
-    def test_has_no_guard_flag(self, runner, tmp_path):
+    def test_has_no_guard_flag(self, tmp_path):
         path = write_json(tmp_path, "h1.json", H1_JSON)
-        res = invoke(runner, "feasible-t2", "--file", path, "--unsafe-no-guard")
+        res = invoke(["feasible-t2", "--file", path, "--unsafe-no-guard"])
         assert res.exit_code == 2
         assert "No such option" in res.stderr
 
@@ -372,68 +442,68 @@ class TestFeasibleT2:
         "name, obj",
         [("h1.json", H1_JSON), ("fm10.json", FM10_JSON), ("big41.json", BIG41_JSON)],
     )
-    def test_witness_passes_verify_t2(self, runner, tmp_path, name, obj):
+    def test_witness_passes_verify_t2(self, tmp_path, name, obj):
         path = write_json(tmp_path, name, obj)
-        res = invoke(runner, "feasible-t2", "--file", path)
+        res = invoke(["feasible-t2", "--file", path])
         assert res.exit_code == 0
         labels = tmp_path / "lab.json"
         labels.write_text(res.stdout)
-        res = invoke(runner, "verify-t2", "--file", path, "--labels", str(labels))
+        res = invoke(["verify-t2", "--file", path, "--labels", str(labels)])
         assert res.exit_code == 0 and json.loads(res.stdout) == {"holds": True}
 
 
 class TestRecognize:
-    def test_roundtrip(self, runner, tmp_path):
-        build_res = invoke(runner, "build", "--string", "001101", "--k", "3")
+    def test_roundtrip(self, tmp_path):
+        build_res = invoke(["build", "--string", "001101", "--k", "3"])
         path = tmp_path / "h.json"
         path.write_text(build_res.stdout)
-        res = invoke(runner, "recognize", "--file", str(path))
+        res = invoke(["recognize", "--file", str(path)])
         assert res.exit_code == 0
         assert json.loads(res.stdout) == {"constructable": True, "string": "001101", "k": 3}
 
-    def test_not_constructable(self, runner, tmp_path):
+    def test_not_constructable(self, tmp_path):
         path = write_json(
             tmp_path,
             "s4.json",
             {"k": 4, "n": 6, "edges": [[1, 2, 5, 6], [1, 3, 4, 6], [1, 3, 5, 6], [1, 4, 5, 6]]},
         )
-        res = invoke(runner, "recognize", "--file", path)
+        res = invoke(["recognize", "--file", path])
         assert res.exit_code == 1
         assert json.loads(res.stdout)["constructable"] is False
 
-    def test_thirty_vertices(self, runner, tmp_path):
+    def test_thirty_vertices(self, tmp_path):
         string = "00" + "1101" * 7
-        build_res = invoke(runner, "build", "--string", string, "--k", "3")
+        build_res = invoke(["build", "--string", string, "--k", "3"])
         path = tmp_path / "h30.json"
         path.write_text(build_res.stdout)
-        res = invoke(runner, "recognize", "--file", str(path), "--format", "text")
+        res = invoke(["recognize", "--file", str(path), "--format", "text"])
         assert res.exit_code == 0
         assert res.stdout == string + "\n"
 
 
 class TestLogconcave:
-    def test_sweep(self, runner):
-        res = invoke(runner, "logconcave", "--k", "3", "--max-n", "20")
+    def test_sweep(self):
+        res = invoke(["logconcave", "--k", "3", "--max-n", "20"])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert payload["holds"] is True and payload["checked"] == 38
 
-    def test_single_string(self, runner):
-        res = invoke(runner, "logconcave", "--k", "3", "--string", "0010011")
+    def test_single_string(self):
+        res = invoke(["logconcave", "--k", "3", "--string", "0010011"])
         assert res.exit_code == 0
 
-    def test_needs_some_input(self, runner):
-        res = invoke(runner, "logconcave", "--k", "3")
+    def test_needs_some_input(self):
+        res = invoke(["logconcave", "--k", "3"])
         assert res.exit_code == 2
 
     @pytest.mark.parametrize("max_n", ["0", "-4"])
-    def test_max_n_below_one_is_usage_error(self, runner, max_n):
-        res = invoke(runner, "logconcave", "--k", "3", "--max-n", max_n)
+    def test_max_n_below_one_is_usage_error(self, max_n):
+        res = invoke(["logconcave", "--k", "3", "--max-n", max_n])
         assert res.exit_code == 2 and res.stdout == ""
 
-    def test_string_has_no_size_guard(self, runner):
+    def test_string_has_no_size_guard(self):
         string = antiregular_string(60, 3, True).bits
-        res = invoke(runner, "logconcave", "--k", "3", "--string", string)
+        res = invoke(["logconcave", "--k", "3", "--string", string])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert payload["checked"] == 1 and payload["holds"] is True
@@ -459,18 +529,31 @@ class TestColdStart:
         ]
         probe = f"import sys, antiregular.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
         assert fresh_interpreter(probe).strip() == "[]"
+        # nothing outside the standard library but the package's light half
+        probe = (
+            "import json, sys; before = set(sys.modules); import antiregular.cli; "
+            "print(json.dumps(sorted(m for m in set(sys.modules) - before "
+            "if m.partition('.')[0] not in sys.stdlib_module_names)))"
+        )
+        assert json.loads(fresh_interpreter(probe)) == [
+            "antiregular",
+            "antiregular.cli",
+            "antiregular.errors",
+            "antiregular.hypergraph",
+        ]
 
     def test_light_commands_load_no_command_module(self, tmp_path):
         # one interpreter runs all four; label then shows the probe sees a load
         probe = """
-import json, sys
-from click.testing import CliRunner
+import io, json, sys
+from contextlib import redirect_stdout
 from antiregular.cli import main
 
 def run(*args):
-    res = CliRunner().invoke(main, list(args), catch_exceptions=False)
-    assert res.exit_code == 0, (args, res.output)
-    return res.stdout
+    out = io.StringIO()
+    with redirect_stdout(out):
+        main(list(args))
+    return out.getvalue()
 
 open("h.json", "w").write(run("build", "--string", "001101", "--k", "3"))
 run("gen", "--n", "6", "--k", "3")
@@ -487,17 +570,17 @@ print(json.dumps([before, [m for m in mods if m in sys.modules]]))
 
 
 class TestSweep:
-    def test_small_sweep_clean(self, runner):
-        res = invoke(runner, "sweep", "--k-max", "3", "--n-max", "7")
+    def test_small_sweep_clean(self):
+        res = invoke(["sweep", "--k-max", "3", "--n-max", "7"])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert payload["ok"] is True and payload["failures"] == []
 
-    def test_output_is_worker_count_independent(self, runner):
-        serial = invoke(runner, "sweep", "--k-max", "3", "--n-max", "7", env={"NUM_WORKERS": "1"})
-        parallel = invoke(runner, "sweep", "--k-max", "3", "--n-max", "7", env={"NUM_WORKERS": "2"})
+    def test_output_is_worker_count_independent(self):
+        serial = invoke(["sweep", "--k-max", "3", "--n-max", "7"], env={"NUM_WORKERS": "1"})
+        parallel = invoke(["sweep", "--k-max", "3", "--n-max", "7"], env={"NUM_WORKERS": "2"})
         assert serial.stdout == parallel.stdout
-        repeat = invoke(runner, "sweep", "--k-max", "3", "--n-max", "7", env={"NUM_WORKERS": "2"})
+        repeat = invoke(["sweep", "--k-max", "3", "--n-max", "7"], env={"NUM_WORKERS": "2"})
         assert repeat.stdout == parallel.stdout
 
     def test_failures_merge_the_same_for_any_worker_count(self, monkeypatch):
@@ -513,8 +596,8 @@ class TestSweep:
         assert serial == parallel
         assert serial.failures and serial.failures == sorted(serial.failures)
 
-    def test_non_integer_num_workers_is_usage_error(self, runner):
-        res = invoke(runner, "sweep", "--k-max", "3", "--n-max", "5", env={"NUM_WORKERS": "abc"})
+    def test_non_integer_num_workers_is_usage_error(self):
+        res = invoke(["sweep", "--k-max", "3", "--n-max", "5"], env={"NUM_WORKERS": "abc"})
         assert res.exit_code == 2
         assert "NUM_WORKERS must be an integer, not 'abc'" in res.stderr
 

@@ -20,9 +20,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from antiregular.cli import main
+from conftest import invoke
 
 FIXTURE = Path(__file__).with_name("frozen_cli.json")
 
@@ -131,9 +130,7 @@ def case_id(args: list[str], env: dict[str, str]) -> str:
 def run_case(args: list[str], env: dict[str, str], where: Path) -> dict:
     for name, obj in FILES.items():
         (where / name).write_text(json.dumps(obj))
-    res = CliRunner().invoke(main, [str(where / a) if a in FILES else a for a in args], env=env)
-    if res.exception is not None and not isinstance(res.exception, SystemExit):
-        raise res.exception
+    res = invoke([str(where / a) if a in FILES else a for a in args], env=env)
     stderr = res.stderr.replace(str(where), "<tmp>")
     return {"exit_code": res.exit_code, "stdout": res.stdout, "stderr": stderr}
 
