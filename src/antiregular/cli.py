@@ -85,57 +85,25 @@ def build(string: str, k: int, fmt: str) -> None:
     _emit(payload, fmt, lines)
 
 
+# ipoly.ROUTES plus "all", written out so that parsing never imports ipoly
 _METHODS = ["brute", "trinks", "recurrence", "closed", "semiclosed", "all"]
 
 
 def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
     """Independence polynomial of a built or loaded hypergraph."""
-    from .ipoly import (
-        ipoly_antiregular_recurrence,
-        ipoly_bruteforce,
-        ipoly_k3_closed,
-        ipoly_semiclosed,
-        ipoly_trinks,
-        structural_routes,
-    )
+    from .ipoly import ipoly_all, ipoly_route
 
     if unsafe_no_guard:
         print("warning: instance-size guards disabled", file=sys.stderr)
     guard = not unsafe_no_guard
     h, b = _string_input(string, k, file)
-    structural = b is not None and b.is_antiregular()
-    connected = b.bits.endswith("1") if b is not None else False
-
-    def compute(name: str):
-        if name == "brute":
-            return ipoly_bruteforce(h, guard=guard)
-        if name == "trinks":
-            return ipoly_trinks(h, guard=guard)
-        if not structural:
-            raise ValueError(f"method {name} needs an antiregular building string")
-        if name == "recurrence":
-            return ipoly_antiregular_recurrence(h.n, h.k, connected)
-        if name == "closed":
-            if h.k != 3:
-                raise ValueError("closed form only exists for k=3")
-            return ipoly_k3_closed(h.n, connected)
-        return ipoly_semiclosed(h.n, h.k, connected)
-
-    refusals: dict[str, GuardExceeded] = {}
     if method == "all":
         # the command fails only when no route answers, with the first refusal
-        polys = {}
-        for name in ("brute", "trinks"):
-            try:
-                polys[name] = compute(name)
-            except GuardExceeded as exc:
-                refusals[name] = exc
-        if structural:
-            polys.update(structural_routes(h.n, h.k, connected))
+        polys, refusals = ipoly_all(h, b, guard)
         if not polys:
             raise next(iter(refusals.values()))
     else:
-        polys = {method: compute(method)}
+        polys, refusals = {method: ipoly_route(method, h, b, guard)}, {}
     agree = len({p.coeffs for p in polys.values()}) == 1
     if method == "all" and len(polys) == 1:
         agree = None  # a lone route was checked against nothing

@@ -11,9 +11,10 @@ x^|W|.  The routes, in increasing order of structure they assume:
   * semi-closed form     antiregular hypergraphs, binomial bracket plus a
                          per-level correction row
 
-All five must agree wherever more than one applies; the test suite, the
-sweep and `ipoly --method all` enforce that.  structural_routes() lists the
-last three for one antiregular instance.
+ROUTES names them in this order: ipoly_route runs one, ipoly_all each that
+applies (the last three need the antiregular building string).  All five
+must agree wherever more than one applies; the test suite, the sweep and
+`ipoly --method all`, which both call ipoly_all, enforce that.
 """
 
 from __future__ import annotations
@@ -175,20 +176,48 @@ def ipoly_k3_closed(n: int, connected: bool) -> Poly:
     )
 
 
-def structural_routes(n: int, k: int, connected: bool) -> dict[str, Poly]:
-    """The antiregular routes that apply to (n, k): recurrence, closed, semiclosed.
+ROUTES = ("brute", "trinks", "recurrence", "closed", "semiclosed")
 
-    The closed form exists for k = 3 only; the semi-closed form is skipped
-    below its validity range.
+
+def ipoly_route(name: str, h: Hypergraph, b: BuildingString | None = None, guard=True) -> Poly:
+    """I(H;x) by the route of ROUTES called name; b is h's building string, if any.
+
+    Raises ValueError when the route does not apply to the instance, and
+    GuardExceeded when an exponential route refuses its size.
     """
-    routes = {"recurrence": ipoly_antiregular_recurrence(n, k, connected)}
-    if k == 3:
-        routes["closed"] = ipoly_k3_closed(n, connected)
-    try:
-        routes["semiclosed"] = ipoly_semiclosed(n, k, connected)
-    except ValueError:
-        pass  # below the semi-closed validity range
-    return routes
+    if name not in ROUTES:
+        raise ValueError(f"no route named {name!r}")
+    if name == "brute":
+        return ipoly_bruteforce(h, guard=guard)
+    if name == "trinks":
+        return ipoly_trinks(h, guard=guard)
+    if b is None or not b.is_antiregular():
+        raise ValueError(f"method {name} needs an antiregular building string")
+    connected = b.bits.endswith("1")
+    if name == "recurrence":
+        return ipoly_antiregular_recurrence(b.n, b.k, connected)
+    if name == "closed":
+        if b.k != 3:
+            raise ValueError("closed form only exists for k=3")
+        return ipoly_k3_closed(b.n, connected)
+    return ipoly_semiclosed(b.n, b.k, connected)
+
+
+def ipoly_all(h: Hypergraph, b: BuildingString | None = None, guard=True) -> tuple[dict, dict]:
+    """(polys, refusals) by route name, in ROUTES order: every route that applies.
+
+    A route its guard refuses goes under refusals (its GuardExceeded); a
+    route that does not apply is left out of both.
+    """
+    polys, refusals = {}, {}
+    for name in ROUTES:
+        try:
+            polys[name] = ipoly_route(name, h, b, guard)
+        except GuardExceeded as exc:
+            refusals[name] = exc
+        except ValueError:
+            pass  # the route does not apply to this instance
+    return polys, refusals
 
 
 # ── per-level correction rows ───────────────────────────────────────────────

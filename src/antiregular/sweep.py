@@ -1,9 +1,9 @@
 """Exhaustive cross-check sweeps over building strings.
 
 Two families of checks: every antiregular instance must give the same
-independence polynomial by every applicable method, and every
-{0,1}-constructable string must yield labels that pass both the threshold
-verification and the interval monotonicity check.
+independence polynomial by every route `ipoly --method all` runs
+(ipoly_all), and every {0,1}-constructable string must yield labels that
+pass both the threshold verification and the interval monotonicity check.
 
 The second family walks the prefix tree of building strings depth first,
 one tree per k.  Algorithm 1 and the construction both read the string
@@ -31,7 +31,7 @@ from .hypergraph import (
     build_hypergraph,
     extend_hypergraph,
 )
-from .ipoly import ipoly_bruteforce, ipoly_trinks, structural_routes
+from .ipoly import ipoly_all
 from .threshold import Labeling, _label_step, check_label_monotonicity, verify_t2
 
 SPLIT_BITS = 3  # a walk task is the subtree below one prefix of length k + SPLIT_BITS
@@ -51,16 +51,17 @@ def antiregular_agreement_failures(k: int, n: int) -> list[str]:
 
 
 def _agreement_task(k: int, n: int) -> tuple[int, int, list[str]]:
-    """The agreement check of one (k, n): a connected variant needs n >= k."""
+    """The agreement check of one (k, n): a connected variant needs n >= k.
+
+    Every route that answers is compared with the recurrence; one its guard refuses is skipped.
+    """
     fails = []
     variants = [False] if n < k else [False, True]
     for connected in variants:
-        h = build_hypergraph(antiregular_string(n, k, connected))
-        others = structural_routes(n, k, connected)
-        ref = others.pop("recurrence")
-        others.update(brute=ipoly_bruteforce(h), deletion=ipoly_trinks(h))
-        for name, p in others.items():
-            if p != ref:
+        b = antiregular_string(n, k, connected)
+        polys, _ = ipoly_all(build_hypergraph(b), b)
+        for name, p in polys.items():
+            if p != polys["recurrence"]:
                 fails.append(f"k={k} n={n} connected={connected}: {name} != recurrence")
     return len(variants), 0, fails
 

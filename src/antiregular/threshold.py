@@ -200,14 +200,15 @@ def verify_t3(h: Hypergraph) -> T3Verdict:
     relation), so it is total iff x <= y along each consecutive pair of the
     (degree, label) order, by transitivity.  A consecutive pair failing
     x <= y is incomparable: y <= x would force equal degrees, hence x <= y.
+    An isolated vertex lies below every vertex, so the chain skips it: O(edges), not O(n).
     """
     if h.k is None:
         raise ValueError("comparability check needs a k-uniform hypergraph")
-    links: list[set[Edge]] = [set() for _ in range(h.n + 1)]
+    links: dict[int, set[Edge]] = {}
     for e in h.edges:
         for i, v in enumerate(e):
-            links[v].add(e[:i] + e[i + 1 :])
-    chain = sorted(h.vertices, key=lambda v: (len(links[v]), v))
+            links.setdefault(v, set()).add(e[:i] + e[i + 1 :])
+    chain = sorted(links, key=lambda v: (len(links[v]), v))
     for x, y in zip(chain, chain[1:]):
         if not all(y in s for s in links[x] - links[y]):
             return T3Verdict(False, (min(x, y), max(x, y)))

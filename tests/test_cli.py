@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from antiregular import antiregular_string, run_sweep, sweep
+from antiregular import antiregular_string, cli, ipoly, run_sweep, sweep
+from antiregular.polynomial import Poly
 from antiregular.sweep import default_workers
 from conftest import fresh_interpreter, invoke
 
@@ -160,6 +161,18 @@ class TestIpoly:
     def test_closed_needs_k3(self):
         res = invoke(["ipoly", "--string", "00011", "--k", "4", "--method", "closed"])
         assert res.exit_code == 2
+
+    def test_methods_are_the_routes_and_all(self):
+        assert cli._METHODS == [*ipoly.ROUTES, "all"]
+
+    def test_a_broken_route_fails_the_cross_check(self, monkeypatch):
+        real = ipoly.ipoly_semiclosed
+        monkeypatch.setattr(ipoly, "ipoly_semiclosed", lambda *args: real(*args) + Poly((0, 1)))
+        res = invoke(["ipoly", "--string", "001010101", "--k", "3"])
+        assert res.exit_code == 1
+        payload = json.loads(res.stdout)
+        assert payload["agree"] is False
+        assert payload["methods"]["semiclosed"] != payload["methods"]["recurrence"]
 
     def test_non_antiregular_string_gets_generic_methods(self):
         res = invoke(["ipoly", "--string", "00110", "--k", "3"])
@@ -360,6 +373,12 @@ class TestVerifyT3:
         res = invoke(["verify-t3", "--file", path])
         assert res.exit_code == 0
         assert json.loads(res.stdout) == {"holds": True}
+
+    def test_ten_million_declared_vertices(self, tmp_path):
+        # the check reads the edges, not the declared n
+        path = write_json(tmp_path, "huge.json", {"k": 3, "n": 10**7, "edges": [[1, 2, 3]]})
+        res = invoke(["verify-t3", "--file", path])
+        assert res.exit_code == 0 and json.loads(res.stdout) == {"holds": True}
 
     def test_has_no_guard_flag(self, tmp_path):
         path = write_json(tmp_path, "h1.json", H1_JSON)

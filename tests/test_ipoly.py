@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antiregular import (
     GuardExceeded,
@@ -23,7 +24,7 @@ from antiregular import (
     solve_alpha,
     solve_beta,
 )
-from antiregular.ipoly import _correction_row
+from antiregular.ipoly import ROUTES, _correction_row, ipoly_all, ipoly_route
 from antiregular.polynomial import ZERO, Poly
 from conftest import building_strings, mixed_hypergraphs, uniform_hypergraphs
 
@@ -251,6 +252,51 @@ class TestFourWayAgreement:
                     assert semi == ref, (k, n, connected, "semiclosed")
                 if k == 3:
                     assert ipoly_k3_closed(n, connected) == ref, (n, connected, "closed")
+
+
+antiregular_strings = st.builds(
+    lambda n, k, connected: antiregular_string(n, k, connected and n >= k),
+    st.integers(1, 12),
+    st.integers(2, 5),
+    st.booleans(),
+)
+
+
+class TestRouteTable:
+    @given(uniform_hypergraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_a_hypergraph_alone_gets_the_generic_routes(self, h):
+        polys, refusals = ipoly_all(h)
+        assert list(polys) == ["brute", "trinks"] and refusals == {}
+        assert polys["brute"] == polys["trinks"]
+
+    @given(st.one_of(building_strings(), antiregular_strings))
+    @settings(max_examples=200, deadline=None)
+    def test_a_string_gets_every_route_that_applies(self, b):
+        expected = ["brute", "trinks"]
+        if b.is_antiregular():
+            # the semi-closed form starts at k-1 vertices (disconnected; connected needs k)
+            expected += ["recurrence"] + ["closed"] * (b.k == 3) + ["semiclosed"] * (b.n >= b.k - 1)
+        polys, refusals = ipoly_all(build_hypergraph(b), b)
+        assert list(polys) == expected and refusals == {}
+        assert len({p.coeffs for p in polys.values()}) == 1
+        assert all(ipoly_route(name, build_hypergraph(b), b) == p for name, p in polys.items())
+
+    def test_a_refused_route_is_listed_apart(self):
+        b = antiregular_string(25, 3, True)
+        polys, refusals = ipoly_all(build_hypergraph(b), b)
+        assert list(polys) == [name for name in ROUTES if name != "brute"]
+        assert list(refusals) == ["brute"] and isinstance(refusals["brute"], GuardExceeded)
+        assert len({p.coeffs for p in polys.values()}) == 1
+
+    def test_route_errors(self):
+        h = build_hypergraph(BuildingString("00011", 4))
+        with pytest.raises(ValueError, match="method closed needs an antiregular"):
+            ipoly_route("closed", h)
+        with pytest.raises(ValueError, match="closed form only exists for k=3"):
+            ipoly_route("closed", h, BuildingString("00010", 4))
+        with pytest.raises(ValueError, match="no route named 'foo'"):
+            ipoly_route("foo", h)
 
 
 class TestCoeffFormulas:

@@ -21,6 +21,8 @@ from antiregular import (
     sweep,
     verify_t2,
 )
+from antiregular import ipoly
+from antiregular.polynomial import Poly
 from antiregular.sweep import antiregular_agreement_failures
 
 
@@ -143,3 +145,23 @@ def test_tasks_run_every_walk_before_every_agreement(k_max, n_max):
     agreements = [(k, n) for k in range(2, k_max + 1) for n in range(1, n_max + 1)]
     assert tasks[: len(walks)] == walks
     assert tasks[len(walks) :] == [(sweep._agreement_task, args) for args in agreements]
+
+
+@pytest.mark.parametrize("n", [25, 41])
+def test_agreement_skips_the_routes_a_guard_refuses(n):
+    # brute force refuses more than 24 vertices, the deletion recursion more than 40
+    assert sweep._agreement_task(3, n) == (2, 0, [])
+
+
+def test_a_broken_route_fails_the_agreement_family_alike(monkeypatch):
+    # forked workers inherit the patch; the semi-closed form applies from k-1 vertices on
+    real = ipoly.ipoly_semiclosed
+    monkeypatch.setattr(ipoly, "ipoly_semiclosed", lambda *args: real(*args) + Poly((0, 1)))
+    expected = sorted(
+        f"k={k} n={n} connected={connected}: semiclosed != recurrence"
+        for k in (2, 3)
+        for n in range(k - 1, 9)
+        for connected in ([False] if n < k else [False, True])
+    )
+    assert run_sweep(3, 8, 1).failures == expected
+    assert run_sweep(3, 8, 2).failures == expected

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, compress, product
@@ -18,6 +19,7 @@ from antiregular import (
     check_label_monotonicity,
     constructable_strings,
     degree_sequence,
+    disjoint_union,
     edgeless,
     intervals,
     t2_feasibility,
@@ -398,6 +400,21 @@ class TestVerifyT3:
     def test_needs_uniformity(self):
         with pytest.raises(ValueError):
             verify_t3(Hypergraph(3, frozenset([(1, 2), (1, 2, 3)]), None))
+
+    def test_isolated_vertices_take_no_memory(self):
+        h = Hypergraph(10**7, frozenset([(1, 2, 3)]), 3)
+        tracemalloc.start()
+        try:
+            assert verify_t3(h).holds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @given(uniform_hypergraphs(max_k=4, max_n=8), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_isolated_vertices_change_nothing(self, h, m):
+        assert verify_t3(disjoint_union(h, edgeless(m, h.k))) == verify_t3(h)
 
     @given(uniform_hypergraphs(max_k=4, max_n=8))
     @settings(max_examples=300, deadline=None)
