@@ -8,12 +8,16 @@ k-1 predecessors, i.e. the first 1 may appear no earlier than position k.
 
 Antiregular hypergraphs are the special case where, after the leading
 zeros, isolated and dominating additions strictly alternate.
+
+BuildingString and Hypergraph are immutable slotted classes that compare,
+hash and pickle by value.  They are not dataclasses: every command line
+call imports this module, and the dataclasses module (with inspect) plus
+the code each decorator generates would cost it about 10 ms.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, repeat
 from math import comb
@@ -23,23 +27,49 @@ from typing import Iterator
 Edge = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BuildingString:
+class _Frozen:
+    """Refuses assignment: subclasses set their slots once, in __init__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BuildingString(_Frozen):
     """A {0,1} word; position i (1-based) describes how vertex i is added."""
 
-    bits: str
-    k: int
+    __slots__ = ("bits", "k")
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
+    def __init__(self, bits: str, k: int) -> None:
+        if k < 2:
             raise ValueError("edge size k must be at least 2")
-        if not self.bits or set(self.bits) - {"0", "1"}:
+        if not bits or set(bits) - {"0", "1"}:
             raise ValueError("building string must be a nonempty word over {0,1}")
-        first = self.bits.find("1")
-        if 0 <= first < self.k - 1:
+        first = bits.find("1")
+        if 0 <= first < k - 1:
             raise ValueError(
-                f"dominating vertex at position {first + 1} needs {self.k - 1} predecessors"
+                f"dominating vertex at position {first + 1} needs {k - 1} predecessors"
             )
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "k", k)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not BuildingString:
+            return NotImplemented
+        return (self.bits, self.k) == (other.bits, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.k))
+
+    def __repr__(self) -> str:
+        return f"BuildingString(bits={self.bits!r}, k={self.k!r})"
+
+    def __reduce__(self):
+        return BuildingString, (self.bits, self.k)
 
     @property
     def n(self) -> int:
@@ -61,56 +91,73 @@ class BuildingString:
             return False
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(_Frozen):
     """Vertex set {1..n} plus a set of hyperedges stored as sorted tuples.
 
     k is the declared uniformity; it stays meaningful for edgeless
-    hypergraphs and is None when edge sizes are mixed.
+    hypergraphs and is None when edge sizes are mixed.  Equality, hashing
+    and repr read n, edges and k only, never the building string _string.
     """
 
-    n: int
-    edges: frozenset[Edge] = frozenset()
-    k: int | None = None
-    _string: BuildingString | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("n", "edges", "k", "_string")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, edges: frozenset[Edge] = frozenset(), k: int | None = None) -> None:
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
         norm = set()
-        for e in self.edges:
+        for e in edges:
             t = tuple(sorted(e))
             if len(set(t)) != len(t):
                 raise ValueError(f"edge {e!r} repeats a vertex")
-            if t and (t[0] < 1 or t[-1] > self.n):
-                raise ValueError(f"edge {t!r} is not within 1..{self.n}")
+            if t and (t[0] < 1 or t[-1] > n):
+                raise ValueError(f"edge {t!r} is not within 1..{n}")
             norm.add(t)
-        object.__setattr__(self, "edges", frozenset(norm))
-        if self.k is not None:
-            if self.k < 1:
+        edges = frozenset(norm)
+        if k is not None:
+            if k < 1:
                 raise ValueError("uniformity must be positive")
-            bad = next((e for e in self.edges if len(e) != self.k), None)
+            bad = next((e for e in edges if len(e) != k), None)
             if bad is not None:
-                raise ValueError(f"edge {bad!r} breaks {self.k}-uniformity")
+                raise ValueError(f"edge {bad!r} breaks {k}-uniformity")
+        self._set(n, edges, k, None)
+
+    def _set(self, n: int, edges: frozenset[Edge], k: int | None, string) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_string", string)
 
     @classmethod
     def _unchecked(cls, b: BuildingString, edges: frozenset[Edge]) -> "Hypergraph":
-        """The hypergraph of b, whose edges skip __post_init__'s checks.
+        """The hypergraph of b, whose edges skip __init__'s checks.
 
         Only build_hypergraph and extend_hypergraph call this.  Its
         invariant: every edge is a strictly increasing k-tuple inside 1..n,
         because it is a (k-1)-subset of 1..pos-1, in combinations order,
         followed by a position pos <= n.  Those are the normal form and the
-        range that __post_init__ would otherwise re-sort and re-check edge by
+        range that __init__ would otherwise re-sort and re-check edge by
         edge.  The string b itself is kept as _string, for edge_masks and
         edge_flags.
         """
         h = object.__new__(cls)
-        object.__setattr__(h, "n", b.n)
-        object.__setattr__(h, "edges", edges)
-        object.__setattr__(h, "k", b.k)
-        object.__setattr__(h, "_string", b)
+        h._set(b.n, edges, b.k, b)
         return h
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Hypergraph:
+            return NotImplemented
+        return (self.n, self.edges, self.k) == (other.n, other.edges, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges, self.k))
+
+    def __repr__(self) -> str:
+        return f"Hypergraph(n={self.n!r}, edges={self.edges!r}, k={self.k!r})"
+
+    def __reduce__(self):
+        if self._string is None:
+            return Hypergraph, (self.n, self.edges, self.k)
+        return Hypergraph._unchecked, (self._string, self.edges)
 
     @property
     def vertices(self) -> range:

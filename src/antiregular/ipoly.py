@@ -15,13 +15,16 @@ ROUTES names them in this order: ipoly_route runs one, ipoly_all each that
 applies (the last three need the antiregular building string).  All five
 must agree wherever more than one applies; the test suite, the sweep and
 `ipoly --method all`, which both call ipoly_all, enforce that.
+
+AlphaBetaTable and LogConcavityReport are NamedTuples, so they also compare
+and iterate as plain tuples.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from . import kernels
 from .errors import GuardExceeded
@@ -223,8 +226,7 @@ def ipoly_all(h: Hypergraph, b: BuildingString | None = None, guard=True) -> tup
 # ── per-level correction rows ───────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class AlphaBetaTable:
+class AlphaBetaTable(NamedTuple):
     """Correction coefficients for the semi-closed forms.
 
     values maps (level, i) -> integer for i in 0..k-1, with level running
@@ -348,8 +350,7 @@ def coeff_formulas(k: int, n: int) -> tuple[int, int]:
     return a_k, a_k1
 
 
-@dataclass(frozen=True)
-class LogConcavityReport:
+class LogConcavityReport(NamedTuple):
     holds: bool
     first_violation: int | None = None
 

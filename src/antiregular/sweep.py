@@ -14,13 +14,13 @@ checks.  The pool gets the subtrees below the prefixes of one fixed length.
 
 A task is a (function, arguments) pair whose function returns
 (polynomial_instances, string_instances, failures).  The pool runs every
-walk task, then every agreement task, in that order.
+walk task, then every agreement task, in that order, and run_sweep sums
+their results into one SweepReport, a plain mutable class.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Iterator
 
@@ -119,13 +119,30 @@ def _walk_task(k: int, prefix: str, n_min: int, n_max: int) -> tuple[int, int, l
     return 0, checked, fails
 
 
-@dataclass
 class SweepReport:
-    k_max: int
-    n_max: int
-    polynomial_instances: int = 0
-    string_instances: int = 0
-    failures: list[str] = field(default_factory=list)
+    """Counts and failure messages of one sweep; mutable, so a caller can add to it."""
+
+    def __init__(
+        self,
+        k_max: int,
+        n_max: int,
+        polynomial_instances: int = 0,
+        string_instances: int = 0,
+        failures: list[str] | None = None,
+    ) -> None:
+        self.k_max = k_max
+        self.n_max = n_max
+        self.polynomial_instances = polynomial_instances
+        self.string_instances = string_instances
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SweepReport:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return "SweepReport(" + ", ".join(f"{k}={v!r}" for k, v in vars(self).items()) + ")"
 
     @property
     def ok(self) -> bool:

@@ -15,24 +15,29 @@ and the heaviest non-edge, which reads a constant multiple of the input.
 verify_t3 checks replacement order: x sits below y when swapping x out for
 y inside any edge through x (and avoiding y) lands on an edge again.  That
 implies deg x <= deg y, so n - 1 pairs along the degree order decide it.
+
+t2_feasibility decides any hypergraph by an exact simplex on the vertices
+that lie in edges, and extends its labels to the isolated ones.
+
+Labeling and the verdicts are NamedTuples: immutable records that also
+compare, unpack and iterate as plain tuples.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import combinations, compress, repeat
 from math import comb, gcd
 from operator import and_, eq
+from typing import NamedTuple
 
 from .hypergraph import BuildingString, Edge, Hypergraph
 
 SCAN_RATIO = 4  # scan all C(n, k) subsets while at most this times (k + 1)|E|
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(NamedTuple):
     """Integer vertex labels in label order plus the threshold."""
 
     c: tuple[int, ...]
@@ -108,8 +113,7 @@ def _label_step(state, bit: str, k: int):
 # ── verification ────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class T2Verdict:
+class T2Verdict(NamedTuple):
     holds: bool
     # the lightest edge at most tau, else the heaviest non-edge above; first of equal sums
     witness: Edge | None = None
@@ -183,8 +187,7 @@ def verify_t2(h: Hypergraph, labeling: Labeling) -> T2Verdict:
     return T2Verdict(True)
 
 
-@dataclass(frozen=True)
-class T3Verdict:
+class T3Verdict(NamedTuple):
     holds: bool
     witness: tuple[int, int] | None = None  # incomparable, adjacent in (degree, label) order
 
@@ -218,8 +221,7 @@ def verify_t3(h: Hypergraph) -> T3Verdict:
 # ── interval structure of the labels ────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class IntervalDecomposition:
+class IntervalDecomposition(NamedTuple):
     """Maximal constant runs of a building string, 1-based inclusive."""
 
     zero_intervals: tuple[tuple[int, int], ...]
@@ -235,8 +237,7 @@ def intervals(b: BuildingString) -> IntervalDecomposition:
     return IntervalDecomposition(runs[::2], runs[1::2])
 
 
-@dataclass(frozen=True)
-class MonotonicityVerdict:
+class MonotonicityVerdict(NamedTuple):
     holds: bool
     violated_clause: str | None = None
     detail: str | None = None
@@ -302,8 +303,7 @@ def check_label_monotonicity(b: BuildingString, labeling: Labeling) -> Monotonic
 # ── feasibility by an exact integer simplex on the Farkas system ───────────
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     feasible: bool
     labeling: Labeling | None = None
     # when infeasible: sorted (k-subset, positive weight) pairs that balance
@@ -312,6 +312,41 @@ class FeasibilityVerdict:
 
 def t2_feasibility(h: Hypergraph) -> FeasibilityVerdict:
     """Decide whether any labeling realizes h as a sum threshold, with evidence.
+
+    The simplex runs on the core: the vertices that lie in edges, numbered
+    1..m in order, so its tableau is bounded by the edges and not by the
+    declared n.  A labeling of the core extends to h: an isolated vertex
+    gets -(|tau| + sum of |c_u|), so every k-set through it sums to at most
+    -|tau| <= tau, and every such set is a non-edge.  A certificate of the
+    core, numbered back, is one of h, since its sets avoid the isolated
+    vertices, and it stays sorted, since the numbering keeps the order.
+    Each verdict's evidence is checked on h itself before it is returned,
+    and a failed check raises AssertionError.
+    """
+    if h.k is None:
+        raise ValueError("feasibility needs a k-uniform hypergraph")
+    core, used = h, sorted({v for e in h.edges for v in e})
+    if len(used) < h.n:
+        number = {v: i for i, v in enumerate(used, 1)}
+        core = Hypergraph(len(used), frozenset(tuple(map(number.get, e)) for e in h.edges), h.k)
+    verdict = _simplex(core)
+    if verdict.feasible:
+        c, tau = verdict.labeling
+        labels = [-(abs(tau) + sum(map(abs, c)))] * h.n
+        for v, label in zip(used, c):
+            labels[v - 1] = label
+        lab = Labeling(tuple(labels), tau)
+        if not verify_t2(h, lab).holds:
+            raise AssertionError(f"simplex witness {lab} fails verify_t2")
+        return FeasibilityVerdict(True, lab)
+    certificate = tuple((tuple(used[v - 1] for v in s), w) for s, w in verdict.certificate)
+    if not _balanced(h, certificate):
+        raise AssertionError(f"simplex certificate {certificate} does not balance")
+    return FeasibilityVerdict(False, certificate=certificate)
+
+
+def _simplex(h: Hypergraph) -> FeasibilityVerdict:
+    """t2_feasibility's verdict on h, whose evidence the caller checks.
 
     Scaling a strict solution makes every edge margin at least 1, so h is
     feasible iff x = (c, tau) solves a_S.x >= b_S over all k-subsets S, with
@@ -341,12 +376,7 @@ def t2_feasibility(h: Hypergraph) -> FeasibilityVerdict:
     Those rows start as the identity and stay lexicographically positive and
     distinct, and each pivot raises the objective row lexicographically, so
     no basis repeats and the method ends (Dantzig, Orden and Wolfe 1955).
-
-    Each verdict's evidence is checked before it is returned, and a failed
-    check raises AssertionError.
     """
-    if h.k is None:
-        raise ValueError("feasibility needs a k-uniform hypergraph")
     n, probe = h.n, _probe(h)
     # rows: the n vertices, tau, the b row, then the objective; columns: the
     # right-hand side, then the n + 2 artificials
@@ -366,8 +396,6 @@ def t2_feasibility(h: Hypergraph) -> FeasibilityVerdict:
         if cost >= 0:
             scale = gcd(*g[: n + 1]) or 1
             lab = Labeling(tuple(v // scale for v in g[:n]), g[n] // scale)
-            if not verify_t2(h, lab).holds:
-                raise AssertionError(f"simplex witness {lab} fails verify_t2")
             return FeasibilityVerdict(True, lab)
         enter = min(locate(edge) for edge, x in costs.items() if x == cost)
         is_edge = enter in h.edges
@@ -391,8 +419,6 @@ def t2_feasibility(h: Hypergraph) -> FeasibilityVerdict:
     weights = {s: r[0] for s, r in zip(basis, rows) if s is not None and r[0]}
     scale = gcd(*weights.values())
     certificate = tuple(sorted((s, w // scale) for s, w in weights.items()))
-    if not _balanced(h, certificate):
-        raise AssertionError(f"simplex certificate {certificate} does not balance")
     return FeasibilityVerdict(False, certificate=certificate)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import os
+import pickle
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,6 +11,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
+import pytest
 from hypothesis import strategies as st
 
 import antiregular
@@ -72,3 +74,27 @@ def invoke(args, env=None) -> SimpleNamespace:
         except SystemExit as exc:
             code = 0 if exc.code is None else exc.code
     return SimpleNamespace(exit_code=code, stdout=out.getvalue(), stderr=err.getvalue())
+
+
+def assert_frozen_record(make, field: str, hashable: bool = True) -> None:
+    """Pin the value behaviour of a frozen result class.
+
+    make() builds a fresh instance, equal to the last, on each call.  Equal
+    instances hash alike (a record holding a dict is unhashable), no field
+    can be assigned or deleted, no new name can be assigned, and pickling
+    round-trips.
+    """
+    a, b = make(), make()
+    assert a is not b and a == b
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    again = pickle.loads(pickle.dumps(a))
+    assert type(again) is type(a) and again == a

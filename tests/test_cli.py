@@ -3,6 +3,7 @@ import os
 import re
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ FM10_JSON = {
     "edges": [list(s) for s in combinations(range(1, 11), 4) if sum(FM10_C[v - 1] for v in s) > 15],
 }
 BIG41_JSON = {"k": 3, "n": 41, "edges": []}  # 10,660 k-subsets
+SLOW_IMPORTS_LOADED = "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
 
 
 # every option of every command, as its --help must name them
@@ -451,6 +453,15 @@ class TestFeasibleT2:
                 net[v - 1] += sign * w
         assert edge_weight > 0 and net == [0] * obj["n"]
 
+    def test_hundred_thousand_declared_vertices(self, tmp_path):
+        # the simplex runs on the three vertices in the edge, not on all n
+        path = write_json(tmp_path, "huge.json", {"k": 3, "n": 10**5, "edges": [[1, 2, 3]]})
+        res = invoke(["feasible-t2", "--file", path])
+        assert res.exit_code == 0
+        payload = json.loads(res.stdout)
+        assert payload["c"] == ["-1", "-1", "2"] + ["-5"] * (10**5 - 3)
+        assert payload["tau"] == "-1"
+
     def test_has_no_guard_flag(self, tmp_path):
         path = write_json(tmp_path, "h1.json", H1_JSON)
         res = invoke(["feasible-t2", "--file", path, "--unsafe-no-guard"])
@@ -586,6 +597,47 @@ print(json.dumps([before, [m for m in mods if m in sys.modules]]))
         before, after = json.loads(fresh_interpreter(probe, cwd=tmp_path))
         assert before == []
         assert after == ["antiregular.threshold"]
+
+    def test_no_module_loads_dataclasses_or_inspect(self):
+        # together 10-11 ms of a cold call: results are NamedTuples and slotted classes
+        package = Path(cli.__file__).parent
+        modules = sorted(f"antiregular.{p.stem}" for p in package.glob("[!_]*.py"))
+        assert len(modules) == 8
+        probe = f"import sys\nimport {', '.join(modules)}\n" + SLOW_IMPORTS_LOADED
+        assert fresh_interpreter(probe).strip() == "[]"
+
+    def test_commands_load_no_dataclasses_or_inspect(self, tmp_path):
+        probe = """
+import io, sys
+from contextlib import redirect_stdout
+from antiregular.cli import main
+
+codes = []
+
+def run(*args):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        try:
+            main(list(args))
+            codes.append(0)
+        except SystemExit as exc:
+            codes.append(exc.code)
+    return out.getvalue()
+
+open("h.json", "w").write(run("build", "--string", "001101", "--k", "3"))
+open("lab.json", "w").write(run("label", "--string", "001101", "--k", "3"))
+run("gen", "--n", "6", "--k", "3")
+run("ipoly", "--string", "00101", "--k", "3")
+run("logconcave", "--k", "3", "--max-n", "6")
+run("verify-t2", "--file", "h.json", "--labels", "lab.json")
+run("verify-t3", "--file", "h.json")
+run("degrees", "--file", "h.json")
+run("feasible-t2", "--file", "h.json")
+run("recognize", "--file", "h.json")
+print(codes)
+""" + SLOW_IMPORTS_LOADED
+        codes, loaded = fresh_interpreter(probe, cwd=tmp_path).splitlines()
+        assert codes == str([0] * 10) and loaded == "[]"
 
 
 class TestSweep:

@@ -22,7 +22,7 @@ from antiregular import (
     recognize_zero_one_constructable,
     zykov_k_sum,
 )
-from conftest import building_strings
+from conftest import assert_frozen_record, building_strings
 
 # the five-vertex k=3 connected instance and its edge set, checked by hand
 FIVE_EDGES = frozenset(
@@ -42,6 +42,13 @@ class TestBuildingString:
             BuildingString("001", 1)
         assert BuildingString("001", 3).n == 3
         assert BuildingString("01", 2).dominating_positions == (2,)
+
+    def test_is_a_frozen_value(self):
+        assert_frozen_record(lambda: BuildingString("00101", 3), "bits")
+        assert BuildingString("00101", 3) != BuildingString("00101", 2)
+        assert BuildingString("00101", 3) != ("00101", 3)
+        assert repr(BuildingString("00101", 3)) == "BuildingString(bits='00101', k=3)"
+        assert str(BuildingString("00101", 3)) == "00101"
 
     def test_antiregular_forms(self):
         assert antiregular_string(5, 3, True).bits == "00101"
@@ -172,6 +179,26 @@ class TestHypergraphType:
     def test_edges_canonicalized(self):
         h = Hypergraph(4, frozenset([(3, 1, 2)]), 3)
         assert h.edges == frozenset([(1, 2, 3)])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Hypergraph(4, frozenset([(1, 2, 3)]), 3),
+            lambda: build_hypergraph(BuildingString("00101", 3)),  # keeps its string
+            lambda: Hypergraph(5, frozenset([(1, 2), (2, 3, 4)])),
+        ],
+    )
+    def test_is_a_frozen_value(self, make):
+        assert_frozen_record(make, "edges")
+
+    def test_repr_and_equality(self):
+        assert repr(Hypergraph(3, frozenset([(2, 1)]), 2)) == (
+            "Hypergraph(n=3, edges=frozenset({(1, 2)}), k=2)"
+        )
+        assert repr(Hypergraph(2)) == "Hypergraph(n=2, edges=frozenset(), k=None)"
+        assert Hypergraph(3, frozenset(), 2) != Hypergraph(3, frozenset(), 3)
+        assert Hypergraph(3) != Hypergraph(4)
+        assert Hypergraph(3, frozenset(), 2) != (3, frozenset(), 2)
 
     def test_json_roundtrip(self):
         h = build_hypergraph(BuildingString("00101", 3))

@@ -26,7 +26,12 @@ from antiregular import (
 )
 from antiregular.ipoly import ROUTES, _correction_row, ipoly_all, ipoly_route
 from antiregular.polynomial import ZERO, Poly
-from conftest import building_strings, mixed_hypergraphs, uniform_hypergraphs
+from conftest import (
+    assert_frozen_record,
+    building_strings,
+    mixed_hypergraphs,
+    uniform_hypergraphs,
+)
 
 H1 = Hypergraph(5, frozenset([(1, 4, 5), (2, 3, 5), (2, 4, 5), (3, 4, 5)]), 3)
 
@@ -197,6 +202,11 @@ class TestCorrectionTables:
             for i in range(1, k):
                 assert row[i - 1] == up[i] - row[i] + comb(level + 1, i - 1), (k, level, i)
 
+    def test_is_a_frozen_value_that_does_not_hash(self):
+        # values is a dict, so the table compares but has no hash
+        assert_frozen_record(lambda: solve_alpha(3, 4), "values", hashable=False)
+        assert solve_alpha(3, 4) != solve_beta(3, 4)
+
     def test_n_max_validation(self):
         with pytest.raises(ValueError):
             solve_alpha(5, 2)
@@ -323,6 +333,9 @@ class TestLogConcavity:
     def test_violation_position(self):
         report = is_log_concave(Poly((1, 1, 3, 1)))
         assert not report.holds and report.first_violation == 1
+
+    def test_is_a_frozen_value(self):
+        assert_frozen_record(lambda: is_log_concave(Poly((1, 1, 3, 1))), "first_violation")
 
     def test_binomials_are_log_concave(self):
         for m in range(12):

@@ -5,6 +5,7 @@ oracles build them from scratch, string by string, as the sweep did before
 it walked the tree.
 """
 
+import pickle
 from itertools import product
 
 import pytest
@@ -107,6 +108,19 @@ def test_run_sweep_equals_the_per_string_loop(workers):
             k_max,
             n_max,
         )
+
+
+def test_report_is_a_mutable_value():
+    a, b = SweepReport(3, 7), SweepReport(3, 7)
+    assert a == b and a.failures == [] and a.ok
+    a.failures.append("k=3 0011: labeling fails threshold check")
+    assert b.failures == [] and a != b and not a.ok  # each report has its own list
+    a.string_instances = 4
+    assert a.string_instances == 4
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert SweepReport(3, 7, 1, 2, ["x"]) == SweepReport(3, 7, 1, 2, ["x"])
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_failures_from_a_broken_step_are_reported_alike(monkeypatch):

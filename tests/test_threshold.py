@@ -12,6 +12,9 @@ from antiregular import (
     BuildingString,
     Hypergraph,
     Labeling,
+    FeasibilityVerdict,
+    IntervalDecomposition,
+    MonotonicityVerdict,
     T2Verdict,
     T3Verdict,
     algorithm1_labels,
@@ -27,7 +30,7 @@ from antiregular import (
     verify_t2,
     verify_t3,
 )
-from conftest import building_strings, uniform_hypergraphs
+from conftest import assert_frozen_record, building_strings, uniform_hypergraphs
 
 
 def scan_t2(h, labeling):
@@ -173,6 +176,22 @@ def labelled_thresholds(draw):
 
 H1 = Hypergraph(5, frozenset([(1, 4, 5), (2, 3, 5), (2, 4, 5), (3, 4, 5)]), 3)
 H2 = Hypergraph(5, frozenset([(1, 2, 3), (1, 3, 4), (2, 3, 5), (3, 4, 5)]), 3)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: Labeling((2, 2, 7), 6), "tau"),
+        (lambda: T2Verdict(False, (1, 2, 3)), "witness"),
+        (lambda: T3Verdict(True), "holds"),
+        (lambda: IntervalDecomposition(((1, 2), (4, 4)), ((3, 3),)), "one_intervals"),
+        (lambda: MonotonicityVerdict(False, "one-within", "detail"), "detail"),
+        (lambda: FeasibilityVerdict(True, Labeling((1, 1, 1), 2)), "labeling"),
+        (lambda: FeasibilityVerdict(False, certificate=(((1, 2), 1), ((1, 3), 1))), "certificate"),
+    ],
+)
+def test_results_are_frozen_values(make, field):
+    assert_frozen_record(make, field)
 
 
 class TestAlgorithm1:
@@ -610,6 +629,32 @@ class TestFeasibility:
         verdict = t2_feasibility(edgeless(41, 3))  # 10,660 k-subsets
         assert verdict.feasible and scan_t2(edgeless(41, 3), verdict.labeling) is None
         assert t2_feasibility(edgeless(40, 5)).feasible
+
+    @given(uniform_hypergraphs(max_k=4, max_n=7), st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_isolated_vertices_change_nothing(self, h, before, after):
+        padded = disjoint_union(disjoint_union(edgeless(before, h.k), h), edgeless(after, h.k))
+        verdict, again = t2_feasibility(h), t2_feasibility(padded)
+        assert again.feasible == verdict.feasible
+        if verdict.feasible:
+            assert scan_t2(padded, again.labeling) is None
+            assert again.labeling.c[before : before + h.n] == verdict.labeling.c
+            assert again.labeling.tau == verdict.labeling.tau
+        else:
+            shifted = tuple((tuple(v + before for v in s), w) for s, w in verdict.certificate)
+            assert again.certificate == shifted
+
+    def test_isolated_vertices_take_no_tableau(self):
+        # a tableau over the declared n would hold 10^10 entries
+        h = Hypergraph(10**5, frozenset([(1, 2, 3)]), 3)
+        tracemalloc.start()
+        try:
+            verdict = t2_feasibility(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        assert verdict.labeling == Labeling((-1, -1, 2) + (-5,) * (10**5 - 3), -1)
 
     def test_decides_without_a_row_cap(self):
         sums = sum_threshold((-2, 4, 3, -3, 0, 4), 4, 3)
