@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -36,11 +37,26 @@ from .hypergraph import (
 
 
 def _emit(payload: dict, fmt: str, lines: list[str]) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if fmt == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout() -> None:
+    """Send the rest of stdout to os.devnull, once its reader has gone.
+
+    The interpreter's last flush then passes, and the command still exits
+    with its verdict's code instead of a traceback.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _read(path: str, what: str, parse):
@@ -330,6 +346,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
 
+    def print_help(self, file=None):
+        # argparse itself ignores a closed stdout only from Python 3.11
+        try:
+            super().print_help(file)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
+
 
 def _usage_error(prog: str, message: str) -> None:
     print(f"Usage: {prog} [OPTIONS]\nTry '{prog} --help' for help.\n\nError: {message}",
@@ -343,11 +367,12 @@ def main(args: list[str] | None = None, prog_name: str = "antiregular") -> None:
         sys.set_int_max_str_digits(0)  # labels and coefficients outgrow 4,300 digits
     args = sys.argv[1:] if args is None else list(args)
     if args[:1] in (["-h"], ["--help"]):
-        print(f"Usage: {prog_name} COMMAND [OPTIONS]\n\n"
-              "Independence polynomials and threshold labelings of k-uniform hypergraphs.\n\n"
-              "Commands:")
+        lines = [f"Usage: {prog_name} COMMAND [OPTIONS]\n\n"
+                 "Independence polynomials and threshold labelings of k-uniform hypergraphs.\n\n"
+                 "Commands:"]
         for name, (fn, _) in COMMANDS.items():
-            print(f"  {name:<12} {fn.__doc__.splitlines()[0]}")
+            lines.append(f"  {name:<12} {fn.__doc__.splitlines()[0]}")
+        _emit({}, "text", lines)
         return
     if not args or args[0] not in COMMANDS:
         _usage_error(prog_name, f"No such command '{args[0]}'." if args else "Missing command.")

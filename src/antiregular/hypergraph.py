@@ -18,8 +18,9 @@ the code each decorator generates would cost it about 10 ms.
 from __future__ import annotations
 
 import json
+from collections.abc import Set
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from math import comb
 from operator import add, itemgetter
 from typing import Iterator
@@ -91,12 +92,64 @@ class BuildingString(_Frozen):
             return False
 
 
-class Hypergraph(_Frozen):
-    """Vertex set {1..n} plus a set of hyperedges stored as sorted tuples.
+class _StringEdges(_Frozen, Set):
+    """The edges of build_hypergraph(b), never stored: the k-subsets topped by a 1-bit.
 
-    k is the declared uniformity; it stays meaningful for edgeless
-    hypergraphs and is None when edge sizes are mixed.  Equality, hashing
-    and repr read n, edges and k only, never the building string _string.
+    It compares, hashes, prints and pickles as the frozenset of those
+    tuples would, and its set operators return frozensets.
+    """
+
+    __slots__ = ("_string", "_len")
+    _from_iterable = frozenset
+    __hash__ = Set._hash
+
+    def __init__(self, b: BuildingString) -> None:
+        object.__setattr__(self, "_string", b)
+        object.__setattr__(self, "_len", sum(comb(p - 1, b.k - 1) for p in b.dominating_positions))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Edge]:
+        b = self._string
+        return chain.from_iterable(_edges_topped_by(p, b.k) for p in b.dominating_positions)
+
+    def __contains__(self, e) -> bool:
+        if type(e) is tuple:
+            top = 0
+            for v in e:  # a strictly increasing tuple of ints: the top-bit test
+                if type(v) is not int or v <= top:
+                    break
+                top = v
+            else:
+                bits = self._string.bits
+                return len(e) == self._string.k and top <= len(bits) and bits[top - 1] == "1"
+        # any other probe answers as in a frozenset: a set is looked up as a
+        # frozenset, any other unhashable probe raises, and an element can
+        # equal only the vertex its hash names
+        if isinstance(e, set):
+            return False
+        hash(e)
+        if not isinstance(e, tuple) or type(e) is tuple and all(type(v) is int for v in e):
+            return False  # not a tuple, or ints out of order
+        t = tuple(map(hash, e))
+        return t == e and t in self
+
+    def __repr__(self) -> str:
+        return repr(frozenset(self))
+
+    def __reduce__(self):
+        return _StringEdges, (self._string,)
+
+
+class Hypergraph(_Frozen):
+    """Vertex set {1..n} plus a set of hyperedges, each a sorted tuple.
+
+    A hypergraph from build_hypergraph keeps its string as _string, and its
+    edges are a read-only set view of that string; any other holds a
+    frozenset.  k is the declared uniformity; it stays meaningful for
+    edgeless hypergraphs and is None when edge sizes are mixed.  Equality,
+    hashing and repr read n, edges and k only, never _string.
     """
 
     __slots__ = ("n", "edges", "k", "_string")
@@ -128,19 +181,14 @@ class Hypergraph(_Frozen):
         object.__setattr__(self, "_string", string)
 
     @classmethod
-    def _unchecked(cls, b: BuildingString, edges: frozenset[Edge]) -> "Hypergraph":
-        """The hypergraph of b, whose edges skip __init__'s checks.
+    def _unchecked(cls, b: BuildingString) -> "Hypergraph":
+        """The hypergraph of b in O(n), for build_hypergraph: its edges are a view of b.
 
-        Only build_hypergraph and extend_hypergraph call this.  Its
-        invariant: every edge is a strictly increasing k-tuple inside 1..n,
-        because it is a (k-1)-subset of 1..pos-1, in combinations order,
-        followed by a position pos <= n.  Those are the normal form and the
-        range that __init__ would otherwise re-sort and re-check edge by
-        edge.  The string b itself is kept as _string, for edge_masks and
-        edge_flags.
+        The view holds sorted k-tuples inside 1..n by construction, so
+        __init__'s checks are skipped.  b is kept as _string.
         """
         h = object.__new__(cls)
-        h._set(b.n, edges, b.k, b)
+        h._set(b.n, _StringEdges(b), b.k, b)
         return h
 
     def __eq__(self, other: object) -> bool:
@@ -157,7 +205,7 @@ class Hypergraph(_Frozen):
     def __reduce__(self):
         if self._string is None:
             return Hypergraph, (self.n, self.edges, self.k)
-        return Hypergraph._unchecked, (self._string, self.edges)
+        return build_hypergraph, (self._string,)
 
     @property
     def vertices(self) -> range:
@@ -168,7 +216,7 @@ class Hypergraph(_Frozen):
 
         A hypergraph from build_hypergraph reads them off its string: the
         1-bit p adds bit p-1 to the mask of every (k-1)-subset of 1..p-1,
-        the same enumeration that built its edges.  Any other hypergraph
+        the construction its edge view iterates.  Any other hypergraph
         converts its stored tuples.  Both list the one edge set, sorted.
         """
         bit = [0] + [1 << i for i in range(self.n)]
@@ -241,24 +289,7 @@ def _edges_topped_by(pos: int, k: int) -> Iterator[Edge]:
 
 def build_hypergraph(b: BuildingString) -> Hypergraph:
     """Run the construction a building string encodes."""
-    # collected in a set, not a list: a frozenset copied from a set is sized
-    # to its contents, one grown from a list can hold twice the table
-    edges: set[Edge] = set()
-    for pos in b.dominating_positions:
-        edges.update(_edges_topped_by(pos, b.k))
-    return Hypergraph._unchecked(b, frozenset(edges))
-
-
-def extend_hypergraph(parent: Hypergraph, b: BuildingString) -> Hypergraph:
-    """build_hypergraph(b), where parent is the hypergraph of b minus its last bit.
-
-    Appending a vertex changes no earlier k-subset, so a 0-bit keeps the
-    parent's edge set itself and a 1-bit adds the k-subsets its vertex tops.
-    """
-    edges = parent.edges
-    if b.bits[-1] == "1":
-        edges = edges.union(_edges_topped_by(b.n, b.k))
-    return Hypergraph._unchecked(b, edges)
+    return Hypergraph._unchecked(b)
 
 
 def complement_uniform(h: Hypergraph) -> Hypergraph:

@@ -6,11 +6,12 @@ independence polynomial by every route `ipoly --method all` runs
 pass both the threshold verification and the interval monotonicity check.
 
 The second family walks the prefix tree of building strings depth first,
-one tree per k.  Algorithm 1 and the construction both read the string
-left to right, so a child takes its parent's labels through one more
-Algorithm 1 step, and its parent's edge set plus the k-subsets its new
-vertex tops.  Every string still gets the full verify_t2 and monotonicity
-checks.  The pool gets the subtrees below the prefixes of one fixed length.
+one tree per k.  Algorithm 1 reads the string left to right, so a child
+takes its parent's labels through one more Algorithm 1 step.  Its
+hypergraph is built from its own string, in O(n), because a built
+hypergraph's edges are a view of the string.  Every string still gets the
+full verify_t2 and monotonicity checks.  The pool gets the subtrees below
+the prefixes of one fixed length.
 
 A task is a (function, arguments) pair whose function returns
 (polynomial_instances, string_instances, failures).  The pool runs every
@@ -29,7 +30,6 @@ from .hypergraph import (
     Hypergraph,
     antiregular_string,
     build_hypergraph,
-    extend_hypergraph,
 )
 from .ipoly import ipoly_all
 from .threshold import Labeling, _label_step, check_label_monotonicity, verify_t2
@@ -76,25 +76,23 @@ def _prefix_tree(
 ) -> Iterator[tuple[BuildingString, Hypergraph, Labeling]]:
     """Every building string that extends prefix, up to length n_max, depth first.
 
-    Yields each string with its hypergraph and Algorithm 1 labels, both
-    taken from its parent's.  The prefix starts with 0, as every building
-    string does.
+    Yields each string with its hypergraph and its Algorithm 1 labels,
+    which are taken from its parent's.  The prefix starts with 0, as every
+    building string does.
     """
 
     def child(node, bit):
-        b, h, state = node
-        b = BuildingString(b.bits + bit, k)
-        return b, extend_hypergraph(h, b), _label_step(state, bit, k)
+        b, state = node
+        return BuildingString(b.bits + bit, k), _label_step(state, bit, k)
 
-    b = BuildingString("0", k)
-    node = b, build_hypergraph(b), _label_step(None, "0", k)
+    node = BuildingString("0", k), _label_step(None, "0", k)
     for bit in prefix[1:]:
         node = child(node, bit)
     stack = [node]
     while stack:
         node = stack.pop()
-        b, h, (c, tau, _) = node
-        yield b, h, Labeling(c, tau)
+        b, (c, tau, _) = node
+        yield b, build_hypergraph(b), Labeling(c, tau)
         if b.n < n_max:
             stack.append(child(node, "0"))
             if b.n + 1 >= k:

@@ -29,6 +29,21 @@ def building_strings(draw, min_k: int = 2, max_k: int = 5, max_n: int = 10):
     return BuildingString("0" * (first - 1) + "1" + tail, k)
 
 
+def reference_edges(b: BuildingString) -> frozenset:
+    """The construction run by hand: {v} | S for each 1-bit v and (k-1)-subset S of 1..v-1.
+
+    A frozenset of sorted tuples, made without the program's edge view or
+    edge masks, for the tests that check those against it.
+    """
+    ones = [v for v, bit in enumerate(b.bits, 1) if bit == "1"]
+    return frozenset(s + (v,) for v in ones for s in combinations(range(1, v), b.k - 1))
+
+
+def reference_twin(b: BuildingString) -> Hypergraph:
+    """The hypergraph of b made from reference_edges, so it holds plain tuples."""
+    return Hypergraph(b.n, reference_edges(b), b.k)
+
+
 @st.composite
 def uniform_hypergraphs(draw, min_k: int = 2, max_k: int = 4, max_n: int = 7):
     k = draw(st.integers(min_k, max_k))

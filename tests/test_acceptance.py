@@ -34,7 +34,7 @@ from antiregular import (
 )
 from antiregular.polynomial import Poly
 from antiregular.sweep import constructable_strings
-from conftest import invoke
+from conftest import invoke, reference_twin
 
 H1 = Hypergraph(5, frozenset([(1, 4, 5), (2, 3, 5), (2, 4, 5), (3, 4, 5)]), 3)
 H2 = Hypergraph(5, frozenset([(1, 2, 3), (1, 3, 4), (2, 3, 5), (3, 4, 5)]), 3)
@@ -94,9 +94,12 @@ def test_criterion_3_four_way_agreement():
             for n in range(1, 15):
                 for connected in [False] if n < k else [False, True]:
                     ref = ipoly_antiregular_recurrence(n, k, connected)
-                    h = build_hypergraph(antiregular_string(n, k, connected))
+                    b = antiregular_string(n, k, connected)
+                    h = build_hypergraph(b)
                     assert ipoly_bruteforce(h) == ref, (k, n, connected)
                     assert ipoly_trinks(h) == ref, (k, n, connected)
+                    # the recurrence reads the string too: check hand-made tuples as well
+                    assert ipoly_trinks(reference_twin(b)) == ref, (k, n, connected)
                     try:
                         semi = ipoly_semiclosed(n, k, connected)
                     except ValueError:

@@ -1,12 +1,14 @@
 import json
 import os
 import re
+import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+import antiregular
 from antiregular import antiregular_string, cli, ipoly, run_sweep, sweep
 from antiregular.polynomial import Poly
 from antiregular.sweep import default_workers
@@ -638,6 +640,55 @@ print(codes)
 """ + SLOW_IMPORTS_LOADED
         codes, loaded = fresh_interpreter(probe, cwd=tmp_path).splitlines()
         assert codes == str([0] * 10) and loaded == "[]"
+
+
+def run_with_closed_stdout(args, buffered: bool) -> subprocess.CompletedProcess:
+    """Run the CLI in a child whose stdout is a pipe already closed for reading.
+
+    Every write to it fails (EPIPE), whatever its size, as when a reader
+    such as `head -1` has gone.  A buffered stdout fails at its first
+    flush, an unbuffered one (PYTHONUNBUFFERED) at the first print.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(antiregular.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "antiregular.cli", *args],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--help"],
+            ["build", "--help"],
+            ["build", "--string", "0" + "011" * 40, "--k", "2", "--format", "text"],
+            ["build", "--string", "0010101", "--k", "3"],
+            ["gen", "--n", "9", "--k", "3"],
+        ],
+    )
+    def test_output_into_a_closed_pipe_exits_quietly(self, args, buffered):
+        res = run_with_closed_stdout(args, buffered)
+        assert (res.returncode, res.stderr) == (0, "")
+
+    def test_a_failing_verdict_keeps_its_exit_code(self, tmp_path, buffered):
+        lpath = write_json(tmp_path, "lab.json", {"c": ["0"] * 7, "tau": "0"})
+        args = ["verify-t2", "--string", "0010101", "--k", "3", "--labels", lpath]
+        for fmt in ("json", "text"):
+            res = run_with_closed_stdout(args + ["--format", fmt], buffered)
+            assert (res.returncode, res.stderr) == (1, "")
 
 
 class TestSweep:

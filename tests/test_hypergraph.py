@@ -1,4 +1,5 @@
 import pickle
+import time
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
@@ -22,7 +23,8 @@ from antiregular import (
     recognize_zero_one_constructable,
     zykov_k_sum,
 )
-from conftest import assert_frozen_record, building_strings
+from antiregular import hypergraph
+from conftest import assert_frozen_record, building_strings, reference_edges, reference_twin
 
 # the five-vertex k=3 connected instance and its edge set, checked by hand
 FIVE_EDGES = frozenset(
@@ -105,22 +107,114 @@ class TestBuild:
     @given(building_strings(max_n=14))
     @settings(max_examples=150)
     def test_edges_pass_the_checked_constructor_unchanged(self, b):
-        # build_hypergraph skips __post_init__, so the validating constructor
-        # is what would notice an unsorted, repeated or out-of-range edge
+        # build_hypergraph skips __init__'s checks, so the validating
+        # constructor is what would notice an unsorted, repeated or
+        # out-of-range edge
         h = build_hypergraph(b)
         assert Hypergraph(h.n, h.edges, h.k) == h
-        assert len(h.edges) == sum(comb(p - 1, b.k - 1) for p in b.dominating_positions)
+        assert len(h.edges) == len(reference_edges(b))
+
+
+def mask(e) -> int:
+    return sum(1 << (v - 1) for v in e)
+
+
+def k_subsets(n: int, k: int) -> list:
+    return list(combinations(range(1, n + 1), k))
+
+
+class TestEdgeView:
+    """A built hypergraph's edges against the frozenset the construction makes."""
+
+    @given(building_strings(max_n=12))
+    @settings(max_examples=150)
+    def test_behaves_as_the_reference_frozenset(self, b):
+        edges, ref = build_hypergraph(b).edges, reference_edges(b)
+        assert edges == ref and ref == edges and not edges != ref and not ref != edges
+        assert hash(edges) == hash(ref) and len(edges) == len(ref)
+        assert sorted(edges) == sorted(ref)
+        assert list(edges) == sorted(ref, key=lambda e: (e[-1], e))  # construction order
+        assert eval(repr(edges)) == ref
+        h_again = pickle.loads(pickle.dumps(build_hypergraph(b)))
+        for again in (pickle.loads(pickle.dumps(edges)), h_again.edges):
+            assert again == ref and ref == again and hash(again) == hash(ref)
+
+    @given(building_strings(max_n=10))
+    @settings(max_examples=150)
+    def test_membership_answers_as_the_reference(self, b):
+        edges, ref, n, k = build_hypergraph(b).edges, reference_edges(b), b.n, b.k
+        probes = k_subsets(n + 1, k) + [(0,) + s for s in k_subsets(n, k - 1)]
+        probes += [tuple(reversed(s)) for s in k_subsets(n, k)]  # unsorted
+        probes += k_subsets(n, k - 1) + k_subsets(min(n, 8), k + 1) + [(), (n,), "ab", None, 3]
+        probes += [tuple(map(float, s)) for s in ref] + [s[:-1] + (s[-1] + 0.5,) for s in ref]
+        probes += [(True,) + s[1:] for s in k_subsets(n, k) if s[0] == 1]
+        probes += [(1, 1) + s[2:] for s in ref]  # a repeated vertex
+        probes += [set(s) for s in ref] + [frozenset(s) for s in ref]  # no raise for a set
+        for x in probes:
+            assert (x in edges) == (x in ref), x
+        for x in [list(s) for s in ref][:5] + [[], (1, [2])]:
+            with pytest.raises(TypeError):
+                x in ref
+            with pytest.raises(TypeError):
+                x in edges
+
+    @given(building_strings(max_n=9), st.data())
+    @settings(max_examples=100)
+    def test_set_operators_and_operations_agree(self, b, data):
+        h, ref = build_hypergraph(b), reference_edges(b)
+        other = frozenset(data.draw(st.sets(st.sampled_from(k_subsets(b.n, b.k)))))
+        for x, y in ((h.edges, ref), (ref, h.edges)):
+            assert x | other == ref | other and other | x == other | ref
+            assert x & other == ref & other and other & x == other & ref
+            assert x - other == ref - other and other - x == other - ref
+            assert type(x | other) is type(x & other) is type(x - other) is frozenset
+            assert x == y
+        twin = reference_twin(b)
+        assert complement_uniform(h).edges == complement_uniform(twin).edges
+        assert complement_uniform(h) == complement_uniform(twin)
+        c = BuildingString(data.draw(st.sampled_from(["001", "0011", "00101"])), 3)
+        g, g_twin = build_hypergraph(c), reference_twin(c)
+        assert disjoint_union(h, g) == disjoint_union(twin, g_twin)
+        assert disjoint_union(g, h) == disjoint_union(g_twin, twin)
+
+    def test_is_read_only(self):
+        edges = build_hypergraph(BuildingString("00101", 3)).edges
+        for name in ("_string", "_len", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(edges, name, 0)
+        assert not hasattr(edges, "add") and not hasattr(edges, "__dict__")
+
+    def test_answers_at_scale_without_iterating(self, monkeypatch):
+        # n = 400, k = 6: some 2.8 * 10^12 edges, of which none is made
+        def no_edges(*_):
+            raise AssertionError("the edges were enumerated")
+
+        monkeypatch.setattr(hypergraph, "_edges_topped_by", no_edges)
+        start = time.perf_counter()
+        b = antiregular_string(400, 6, True)
+        h = build_hypergraph(b)
+        ones = [v for v, bit in enumerate(b.bits, 1) if bit == "1"]
+        assert len(h.edges) == sum(comb(v - 1, 5) for v in ones) > 10**12
+        assert (1, 2, 3, 4, 5, 400) in h.edges  # 400 is a 1-bit
+        assert (2, 3, 5, 7, 11, 399) not in h.edges  # 399 is a 0-bit
+        assert time.perf_counter() - start < 0.5
 
 
 class TestEdgeMasks:
-    @given(building_strings(max_n=12))
+    @given(building_strings(max_n=14))
     @settings(max_examples=150)
     def test_string_path_matches_tuple_path(self, b):
-        h = build_hypergraph(b)
-        masks = h.edge_masks()
-        assert masks == Hypergraph(b.n, h.edges, b.k).edge_masks()
-        assert masks == sorted(sum(1 << (v - 1) for v in e) for e in h.edges)
-        assert all(x < y for x, y in zip(masks, masks[1:]))
+        masks = build_hypergraph(b).edge_masks()
+        assert masks == sorted(map(mask, reference_edges(b)))
+        assert masks == reference_twin(b).edge_masks()
+
+    @pytest.mark.parametrize("n", range(21, 31))
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_dense_sizes_match_the_reference(self, n, k):
+        # the sizes the deletion recursion gets in the benchmark, ones at 3/4
+        bits = "0" * (k - 1) + "".join("0" if i % 4 == 1 else "1" for i in range(n - k + 1))
+        b = BuildingString(bits, k)
+        assert build_hypergraph(b).edge_masks() == sorted(map(mask, reference_edges(b)))
 
     def test_all_zeros_give_no_masks(self):
         for n, k in product(range(1, 7), range(2, 5)):
@@ -152,10 +246,10 @@ class TestEdgeFlags:
     @given(building_strings(max_n=12))
     @settings(max_examples=150)
     def test_string_path_matches_tuple_path(self, b):
-        h = build_hypergraph(b)
-        flags = h.edge_flags()
-        assert flags == Hypergraph(b.n, h.edges, b.k).edge_flags()
-        assert flags == bytes(s in h.edges for s in combinations(h.vertices, b.k))
+        ref = reference_edges(b)
+        flags = build_hypergraph(b).edge_flags()
+        assert flags == reference_twin(b).edge_flags()
+        assert flags == bytes(s in ref for s in combinations(range(1, b.n + 1), b.k))
 
     @pytest.mark.parametrize("n", [256, 300])
     def test_past_a_byte_of_vertices_flags_come_from_the_edges(self, n):
@@ -163,7 +257,7 @@ class TestEdgeFlags:
         b = BuildingString(("0" + "011" * n)[:n], 2)
         h = build_hypergraph(b)
         flags = h.edge_flags()
-        assert flags == Hypergraph(n, h.edges, 2).edge_flags()
+        assert flags == reference_twin(b).edge_flags()
         assert sum(flags) == len(h.edges) == sum(p - 1 for p in b.dominating_positions)
 
 

@@ -30,6 +30,8 @@ from conftest import (
     assert_frozen_record,
     building_strings,
     mixed_hypergraphs,
+    reference_edges,
+    reference_twin,
     uniform_hypergraphs,
 )
 
@@ -96,14 +98,14 @@ class TestTrinks:
     @settings(max_examples=40)
     def test_pruning_equivalence_on_strings(self, b):
         h = build_hypergraph(b)
-        assert ipoly_trinks(h) == ipoly_bruteforce(h)
+        assert ipoly_trinks(h) == ipoly_bruteforce(reference_twin(b))
 
     @given(building_strings(max_n=12))
     @settings(max_examples=40)
     def test_built_and_tuple_twin_agree(self, b):
-        # the built hypergraph reads its masks off b, the twin off its tuples
-        h = build_hypergraph(b)
-        twin = Hypergraph(b.n, h.edges, b.k)
+        # the built hypergraph reads its masks off b, the twin off tuples
+        # that the construction, run by hand, made
+        h, twin = build_hypergraph(b), reference_twin(b)
         assert ipoly_bruteforce(h) == ipoly_bruteforce(twin)
         assert ipoly_trinks(h) == ipoly_trinks(twin)
 
@@ -132,7 +134,7 @@ class TestRecurrence:
     @given(building_strings(max_n=12))
     @settings(max_examples=80)
     def test_string_fold_matches_brute_force(self, b):
-        assert ipoly_string(b) == ipoly_bruteforce(build_hypergraph(b))
+        assert ipoly_string(b) == ipoly_bruteforce(reference_twin(b))
 
     def test_string_fold_on_zeros_is_binomial(self):
         for k in (2, 3, 5):
@@ -251,9 +253,12 @@ class TestFourWayAgreement:
         for n in range(1, 17):
             for connected in [False] if n < k else [False, True]:
                 ref = ipoly_antiregular_recurrence(n, k, connected)
-                h = build_hypergraph(antiregular_string(n, k, connected))
+                b = antiregular_string(n, k, connected)
+                h = build_hypergraph(b)
                 assert ipoly_bruteforce(h) == ref, (k, n, connected, "brute")
                 assert ipoly_trinks(h) == ref, (k, n, connected, "trinks")
+                # the recurrence also reads the string: the hand-made tuples too
+                assert ipoly_trinks(reference_twin(b)) == ref, (k, n, connected, "twin")
                 try:
                     semi = ipoly_semiclosed(n, k, connected)
                 except ValueError:
@@ -290,6 +295,7 @@ class TestRouteTable:
         polys, refusals = ipoly_all(build_hypergraph(b), b)
         assert list(polys) == expected and refusals == {}
         assert len({p.coeffs for p in polys.values()}) == 1
+        assert polys["brute"] == ipoly_bruteforce(reference_twin(b))
         assert all(ipoly_route(name, build_hypergraph(b), b) == p for name, p in polys.items())
 
     def test_a_refused_route_is_listed_apart(self):
@@ -298,6 +304,7 @@ class TestRouteTable:
         assert list(polys) == [name for name in ROUTES if name != "brute"]
         assert list(refusals) == ["brute"] and isinstance(refusals["brute"], GuardExceeded)
         assert len({p.coeffs for p in polys.values()}) == 1
+        assert polys["trinks"] == ipoly_trinks(reference_twin(b))
 
     def test_route_errors(self):
         h = build_hypergraph(BuildingString("00011", 4))
@@ -368,4 +375,4 @@ class TestStructuralLaws:
         p = ipoly_bruteforce(h)
         for i in range(b.k):
             assert p.coeff(i) == comb(h.n, i)
-        assert p.coeff(b.k) == comb(h.n, b.k) - len(h.edges)
+        assert p.coeff(b.k) == comb(h.n, b.k) - len(reference_edges(b))
