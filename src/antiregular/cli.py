@@ -3,13 +3,17 @@
 Every command emits JSON by default (--format text for a terse human
 form), and takes --help (or -h).  Exit codes: 0 success / property holds,
 1 property fails (the witness is in the output), 2 usage error, 3
-instance-size guard exceeded (only ipoly has guards, on its exponential
-routes).  Unbounded integers (labels, thresholds, coefficients, degrees)
+refused: an instance-size guard was exceeded (only ipoly has guards, on
+its exponential routes), or the work outgrew the recursion depth or the
+memory.  Unbounded integers (labels, thresholds, coefficients, degrees)
 are always serialized as decimal strings, of any length.
 
-Each command is a plain function.  ``COMMANDS`` maps its name to the
-function and its options, as ``argparse`` keyword arguments, and ``main``
-builds a parser for the named command only.
+Each command is a plain function that computes and prints nothing: it
+returns (payload, text lines, exit code), the code 1 when its property
+fails.  ``COMMANDS`` maps its name to the function and its options, as
+``argparse`` keyword arguments.  ``main`` builds a parser for the named
+command only, prints the result in the chosen format and exits with its
+code.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from .hypergraph import (
 
 # ipoly, threshold and sweep are imported inside the commands that run them,
 # so a cold call to any other command never loads or compiles them.
+
+Result = tuple[dict, list[str], int]  # a command's (payload, text lines, exit code)
 
 
 def _emit(payload: dict, fmt: str, lines: list[str]) -> None:
@@ -85,27 +91,25 @@ def _string_input(string: str | None, k: int | None, file: str | None):
     return _load_hypergraph(file), None
 
 
-def gen(n: int, k: int, connected: bool, fmt: str) -> None:
+def gen(n: int, k: int, connected: bool) -> Result:
     """Emit the antiregular building string for (n, k)."""
     b = antiregular_string(n, k, connected)
-    payload = {"string": b.bits, "k": k, "n": n, "connected": connected}
-    _emit(payload, fmt, [b.bits])
+    return {"string": b.bits, "k": k, "n": n, "connected": connected}, [b.bits], 0
 
 
-def build(string: str, k: int, fmt: str) -> None:
+def build(string: str, k: int) -> Result:
     """Build the hypergraph a building string encodes."""
     h = build_hypergraph(BuildingString(string, k))
-    payload = hypergraph_to_json(h)
     lines = [f"n={h.n} k={h.k} edges={len(h.edges)}"]
     lines += [" ".join(map(str, e)) for e in sorted(h.edges)]
-    _emit(payload, fmt, lines)
+    return hypergraph_to_json(h), lines, 0
 
 
 # ipoly.ROUTES plus "all", written out so that parsing never imports ipoly
 _METHODS = ["brute", "trinks", "recurrence", "closed", "semiclosed", "all"]
 
 
-def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
+def ipoly(string, k, file, method, unsafe_no_guard) -> Result:
     """Independence polynomial of a built or loaded hypergraph."""
     from .ipoly import ipoly_all, ipoly_route
 
@@ -134,12 +138,10 @@ def ipoly(string, k, file, method, fmt, unsafe_no_guard) -> None:
     if refusals:
         payload["skipped"] = {name: str(exc) for name, exc in refusals.items()}
         lines += [f"skipped {name}: {exc}" for name, exc in refusals.items()]
-    _emit(payload, fmt, lines)
-    if agree is False:
-        sys.exit(1)
+    return payload, lines, int(agree is False)
 
 
-def logconcave(string, k, max_n, fmt) -> None:
+def logconcave(string, k, max_n) -> Result:
     """Check log-concavity of independence polynomial coefficients."""
     from .ipoly import ipoly_antiregular_recurrence, ipoly_string, is_log_concave
 
@@ -147,46 +149,45 @@ def logconcave(string, k, max_n, fmt) -> None:
         raise ValueError("provide --string and/or --max-n")
     if max_n is not None and max_n < 1:
         raise ValueError(f"--max-n must be at least 1, not {max_n}")
-    witnesses = []
-    checked = 0
-    if string is not None:
-        p = ipoly_string(BuildingString(string, k))
+
+    def polys():
+        """(where it came from, polynomial) for each polynomial to check, in order."""
+        if string is not None:
+            yield {"string": string}, ipoly_string(BuildingString(string, k))
+        for n in range(1, (max_n or 0) + 1):
+            for conn in [False] if n < k else [False, True]:
+                yield {"n": n, "connected": conn}, ipoly_antiregular_recurrence(n, k, conn)
+
+    checked, witnesses = 0, []
+    for where, p in polys():
         checked += 1
         report = is_log_concave(p)
         if not report.holds:
-            witnesses.append({"string": string, "index": report.first_violation})
-    if max_n is not None:
-        for n in range(1, max_n + 1):
-            for connected in [False] if n < k else [False, True]:
-                p = ipoly_antiregular_recurrence(n, k, connected)
-                checked += 1
-                report = is_log_concave(p)
-                if not report.holds:
-                    witnesses.append(
-                        {
-                            "n": n,
-                            "connected": connected,
-                            "index": report.first_violation,
-                        }
-                    )
+            witnesses.append({**where, "index": report.first_violation})
     holds = not witnesses
     payload = {"k": k, "checked": checked, "holds": holds, "witnesses": witnesses}
     lines = [f"checked {checked} polynomials: {'all log-concave' if holds else witnesses}"]
-    _emit(payload, fmt, lines)
-    if not holds:
-        sys.exit(1)
+    return payload, lines, int(not holds)
 
 
-def label(string: str, k: int, fmt: str) -> None:
+def label(string: str, k: int) -> Result:
     """Threshold labels for a building string (file-ready labeling JSON)."""
     from .threshold import algorithm1_labels
 
     lab = algorithm1_labels(BuildingString(string, k))
-    lines = ["c = " + " ".join(map(str, lab.c)), f"tau = {lab.tau}"]
-    _emit(lab.to_json(), fmt, lines)
+    return lab.to_json(), ["c = " + " ".join(map(str, lab.c)), f"tau = {lab.tau}"], 0
 
 
-def verify_t2_cmd(string, k, file, labels, fmt) -> None:
+def _verdict(verdict, what: str) -> Result:
+    """A verify verdict as a result: holds, or FAIL at its witness (a subset or pair)."""
+    payload = {"holds": verdict.holds}
+    if verdict.witness is not None:
+        payload["witness"] = list(verdict.witness)
+    lines = ["holds" if verdict.holds else f"FAIL at {what} {verdict.witness}"]
+    return payload, lines, int(not verdict.holds)
+
+
+def verify_t2_cmd(string, k, file, labels) -> Result:
     """Check that a labeling realizes the hypergraph as a sum threshold."""
     from .threshold import Labeling, algorithm1_labels, verify_t2
 
@@ -199,39 +200,24 @@ def verify_t2_cmd(string, k, file, labels, fmt) -> None:
         lab = algorithm1_labels(b)
     else:
         lab = _read(labels, "labeling", Labeling.from_json)
-    verdict = verify_t2(h, lab)
-    payload = {"holds": verdict.holds}
-    if verdict.witness is not None:
-        payload["witness"] = list(verdict.witness)
-    lines = ["holds" if verdict.holds else f"FAIL at subset {verdict.witness}"]
-    _emit(payload, fmt, lines)
-    if not verdict.holds:
-        sys.exit(1)
+    return _verdict(verify_t2(h, lab), "subset")
 
 
-def verify_t3_cmd(file, fmt) -> None:
+def verify_t3_cmd(file) -> Result:
     """Check that replacement order compares every vertex pair."""
     from .threshold import verify_t3
 
-    verdict = verify_t3(_load_hypergraph(file))
-    payload = {"holds": verdict.holds}
-    if verdict.witness is not None:
-        payload["witness"] = list(verdict.witness)
-    lines = ["holds" if verdict.holds else f"FAIL at pair {verdict.witness}"]
-    _emit(payload, fmt, lines)
-    if not verdict.holds:
-        sys.exit(1)
+    return _verdict(verify_t3(_load_hypergraph(file)), "pair")
 
 
-def degrees(string, k, file, fmt) -> None:
+def degrees(string, k, file) -> Result:
     """Vertex degree sequence in label order."""
     h, _ = _string_input(string, k, file)
     seq = degree_sequence(h)
-    payload = {"n": h.n, "k": h.k, "degrees": [str(d) for d in seq]}
-    _emit(payload, fmt, [" ".join(map(str, seq))])
+    return {"n": h.n, "k": h.k, "degrees": [str(d) for d in seq]}, [" ".join(map(str, seq))], 0
 
 
-def feasible_t2_cmd(file, fmt) -> None:
+def feasible_t2_cmd(file) -> Result:
     """Decide rational sum-threshold feasibility; witness labels or a certificate."""
     from .threshold import t2_feasibility
 
@@ -247,22 +233,18 @@ def feasible_t2_cmd(file, fmt) -> None:
         lines += [
             f"{w} x {'edge' if s in h.edges else 'non-edge'} {s}" for s, w in verdict.certificate
         ]
-    _emit(payload, fmt, lines)
-    if not verdict.feasible:
-        sys.exit(1)
+    return payload, lines, int(not verdict.feasible)
 
 
-def recognize(file, fmt) -> None:
+def recognize(file) -> Result:
     """Recover a building string, or report that none exists."""
     b = recognize_zero_one_constructable(_load_hypergraph(file))
     if b is None:
-        _emit({"constructable": False, "string": None}, fmt, ["not constructable"])
-        sys.exit(1)
-    payload = {"constructable": True, "string": b.bits, "k": b.k}
-    _emit(payload, fmt, [b.bits])
+        return {"constructable": False, "string": None}, ["not constructable"], 1
+    return {"constructable": True, "string": b.bits, "k": b.k}, [b.bits], 0
 
 
-def sweep(k_max, n_max, fmt) -> None:
+def sweep(k_max, n_max) -> Result:
     """Exhaustive polynomial-agreement and labeling sweep (parallel).
 
     The labeling family walks the prefix tree of building strings, and the
@@ -271,22 +253,14 @@ def sweep(k_max, n_max, fmt) -> None:
     from .sweep import run_sweep
 
     report = run_sweep(k_max, n_max)
-    payload = {
-        "k_max": report.k_max,
-        "n_max": report.n_max,
-        "polynomial_instances": report.polynomial_instances,
-        "string_instances": report.string_instances,
-        "failures": report.failures,
-        "ok": report.ok,
-    }
+    fields = ["k_max", "n_max", "polynomial_instances", "string_instances", "failures", "ok"]
+    payload = {name: getattr(report, name) for name in fields}
     lines = [
         f"polynomial instances: {report.polynomial_instances}",
         f"labelled strings:     {report.string_instances}",
         f"failures:             {len(report.failures)}",
     ] + report.failures
-    _emit(payload, fmt, lines)
-    if not report.ok:
-        sys.exit(1)
+    return payload, lines, int(not report.ok)
 
 
 _STRING_K = {
@@ -361,8 +335,17 @@ def _usage_error(prog: str, message: str) -> None:
     sys.exit(2)
 
 
+def _refusal(exc: Exception) -> str:
+    """The one stderr line of an exit-3 refusal, naming the limit that stopped the work."""
+    if isinstance(exc, GuardExceeded):
+        return f"guard exceeded: {exc}"
+    if isinstance(exc, RecursionError):
+        return f"refused: recursion depth exceeded (limit {sys.getrecursionlimit()})"
+    return "refused: out of memory"
+
+
 def main(args: list[str] | None = None, prog_name: str = "antiregular") -> None:
-    """Run the command that args (default: sys.argv[1:]) name."""
+    """Run the command args (default: sys.argv[1:]) name; print its result, exit with its code."""
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # labels and coefficients outgrow 4,300 digits
     args = sys.argv[1:] if args is None else list(args)
@@ -370,30 +353,35 @@ def main(args: list[str] | None = None, prog_name: str = "antiregular") -> None:
         lines = [f"Usage: {prog_name} COMMAND [OPTIONS]\n\n"
                  "Independence polynomials and threshold labelings of k-uniform hypergraphs.\n\n"
                  "Commands:"]
-        for name, (fn, _) in COMMANDS.items():
-            lines.append(f"  {name:<12} {fn.__doc__.splitlines()[0]}")
-        _emit({}, "text", lines)
-        return
-    if not args or args[0] not in COMMANDS:
+        lines += [f"  {name:<12} {fn.__doc__.splitlines()[0]}"
+                  for name, (fn, _) in COMMANDS.items()]
+        fmt, payload, code = "text", {}, 0
+    elif not args or args[0] not in COMMANDS:
         _usage_error(prog_name, f"No such command '{args[0]}'." if args else "Missing command.")
-    fn, options = COMMANDS[args[0]]
-    prog = f"{prog_name} {args[0]}"
-    try:
-        parser = _Parser(prog=prog, description=fn.__doc__, allow_abbrev=False)
-        for flag, spec in options.items():
-            parser.add_argument(flag, **spec)
-        parser.add_argument("--format", dest="fmt", choices=["json", "text"], default="json",
-                            help="Output format (default: json).")
-        parsed, extra = parser.parse_known_args(args[1:])
-        if extra:
-            raise ValueError(f"No such option '{extra[0]}'." if extra[0].startswith("-")
-                             else f"Got unexpected extra argument ({extra[0]})")
-        fn(**vars(parsed))
-    except GuardExceeded as exc:
-        print(f"guard exceeded: {exc}", file=sys.stderr)
-        sys.exit(3)
-    except ValueError as exc:
-        _usage_error(prog, str(exc))
+    else:
+        fn, options = COMMANDS[args[0]]
+        prog = f"{prog_name} {args[0]}"
+        try:
+            parser = _Parser(prog=prog, description=fn.__doc__, allow_abbrev=False)
+            for flag, spec in options.items():
+                parser.add_argument(flag, **spec)
+            parser.add_argument("--format", dest="fmt", choices=["json", "text"], default="json",
+                                help="Output format (default: json).")
+            parsed, extra = parser.parse_known_args(args[1:])
+            if extra:
+                raise ValueError(f"No such option '{extra[0]}'." if extra[0].startswith("-")
+                                 else f"Got unexpected extra argument ({extra[0]})")
+            kwargs = vars(parsed)
+            fmt = kwargs.pop("fmt")
+            payload, lines, code = fn(**kwargs)
+        except (GuardExceeded, RecursionError, MemoryError) as exc:
+            print(_refusal(exc), file=sys.stderr)
+            sys.exit(3)
+        except ValueError as exc:
+            _usage_error(prog, str(exc))
+    _emit(payload, fmt, lines)
+    if code:
+        sys.exit(code)
 
 
 if __name__ == "__main__":

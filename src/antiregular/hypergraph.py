@@ -230,15 +230,19 @@ class Hypergraph(_Frozen):
     def edge_flags(self) -> bytes:
         """One byte per k-subset in combinations order: 1 on an edge, else 0.
 
-        A hypergraph from build_hypergraph on at most 256 vertices reads them
-        off its string: a k-subset is an edge iff its top vertex is a 1-bit,
-        so the table of tops, translated through the bits, is the flags.  Any
-        other hypergraph looks each k-subset up in its edge set.
+        A hypergraph from build_hypergraph reads them off its string: a
+        k-subset is an edge iff its top vertex is a 1-bit, so each subset's
+        top, translated through the bits, is its flag.  Up to 256 vertices
+        the tops come from a cached byte table; past that, from the subsets
+        themselves.  Any other hypergraph looks each k-subset up in its edge set.
         """
-        if self._string is not None and self.n <= 256:
-            bits = self._string.bits.encode().translate(_BIT_BYTE)
+        if self._string is None:
+            return bytes(map(self.edges.__contains__, combinations(self.vertices, self.k)))
+        bits = self._string.bits.encode().translate(_BIT_BYTE)
+        if self.n <= 256:
             return _subset_tops(self.n, self.k).translate(bits.ljust(256, b"\0"))
-        return bytes(map(self.edges.__contains__, combinations(self.vertices, self.k)))
+        tops = map(itemgetter(-1), combinations(range(self.n), self.k))
+        return bytes(map(bits.__getitem__, tops))
 
 
 _BIT_BYTE = bytes.maketrans(b"01", b"\0\1")

@@ -29,7 +29,7 @@ import json
 import re
 from itertools import combinations, compress, repeat
 from math import comb, gcd
-from operator import and_, eq
+from operator import and_, eq, ge
 from typing import NamedTuple
 
 from .hypergraph import BuildingString, Edge, Hypergraph
@@ -258,42 +258,35 @@ def check_label_monotonicity(b: BuildingString, labeling: Labeling) -> Monotonic
     c = labeling.c
     if len(c) != b.n:
         raise ValueError(f"labeling has {len(c)} labels for {b.n} vertices")
-    dec = intervals(b)
-    ones = dec.one_intervals
-    # every building string opens with a 0-bit: its first 1 sits at k or later
-    lead, *later_zeros = dec.zero_intervals
-
-    def labels(iv: tuple[int, int]) -> list[int]:
-        return list(c[iv[0] - 1 : iv[1]])
-
-    for a, b2 in zip(ones, ones[1:]):
-        if not max(labels(a)) < min(labels(b2)):
+    spans = [m.span() for m in _RUNS.finditer(b.bits)]
+    runs = [c[i:j] for i, j in spans]
+    lo, hi = list(map(min, runs)), list(map(max, runs))
+    iv = [(i + 1, j) for i, j in spans]
+    # the runs alternate 0, 1, 0, ...: run 0 is the leading 0-interval
+    ones, later_zeros = range(1, len(runs), 2), range(2, len(runs), 2)
+    for i in ones[1:]:
+        if not hi[i - 2] < lo[i]:
             return MonotonicityVerdict(
-                False, "one-across", f"1-intervals {a} and {b2} fail to increase"
+                False, "one-across", f"1-intervals {iv[i - 2]} and {iv[i]} fail to increase"
             )
-    for iv in ones:
-        if len(set(labels(iv))) > 1:
-            return MonotonicityVerdict(
-                False, "one-within", f"1-interval {iv} is not constant"
-            )
-    if len(set(labels(lead))) > 1:
+    for i in ones:
+        if lo[i] != hi[i]:
+            return MonotonicityVerdict(False, "one-within", f"1-interval {iv[i]} is not constant")
+    if lo[0] != hi[0]:
         return MonotonicityVerdict(
-            False, "zero-leading", f"leading 0-interval {lead} is not constant"
+            False, "zero-leading", f"leading 0-interval {iv[0]} is not constant"
         )
-    for a, b2 in zip(later_zeros, later_zeros[1:]):
-        if not min(labels(a)) > max(labels(b2)):
+    for i in later_zeros[1:]:
+        if not lo[i - 2] > hi[i]:
             return MonotonicityVerdict(
-                False, "zero-across", f"0-intervals {a} and {b2} fail to decrease"
+                False, "zero-across", f"0-intervals {iv[i - 2]} and {iv[i]} fail to decrease"
             )
-    for iv in later_zeros:
-        vals = labels(iv)
-        if any(x >= y for x, y in zip(vals, vals[1:])):
+    for i in later_zeros:
+        if any(map(ge, runs[i], runs[i][1:])):
             return MonotonicityVerdict(
-                False, "zero-within", f"0-interval {iv} is not strictly increasing"
+                False, "zero-within", f"0-interval {iv[i]} is not strictly increasing"
             )
-    dom = [c[i] for i, ch in enumerate(b.bits) if ch == "1"]
-    iso = [c[i] for i, ch in enumerate(b.bits) if ch == "0"]
-    if dom and iso and not min(dom) > max(iso):
+    if ones and not min(lo[1::2]) > max(hi[::2]):
         return MonotonicityVerdict(
             False, "separation", "some dominating label fails to exceed an isolated one"
         )

@@ -248,6 +248,17 @@ class TestIpoly:
         assert res.exit_code == 3
         assert "cap of 30" in res.stderr
 
+    def test_deep_recursion_is_a_refusal(self, tmp_path):
+        # every vertex of the path lies in an edge, so the recursion runs 1,500 deep
+        edges = [[v, v + 1] for v in range(1, 1500)]
+        path = write_json(tmp_path, "path.json", {"k": 2, "n": 1500, "edges": edges})
+        res = invoke(["ipoly", "--file", path, "--method", "trinks", "--unsafe-no-guard"])
+        assert (res.exit_code, res.stdout) == (3, "")
+        assert res.stderr.splitlines() == [
+            "warning: instance-size guards disabled",
+            f"refused: recursion depth exceeded (limit {sys.getrecursionlimit()})",
+        ]
+
 
 class TestLabel:
     def test_thirteen_vertex_labels_frozen(self):
@@ -539,6 +550,93 @@ class TestLogconcave:
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert payload["checked"] == 1 and payload["holds"] is True
+
+    def test_witnesses_name_each_failure_in_order(self, monkeypatch):
+        # no checked polynomial fails, so a check that fails every other one stands in
+        real, calls = ipoly.is_log_concave, []
+
+        def every_other(p):
+            calls.append(p)
+            report = real(p)
+            return report._replace(holds=False, first_violation=len(calls)) if len(calls) % 2 else report
+
+        monkeypatch.setattr(ipoly, "is_log_concave", every_other)
+        res = invoke(["logconcave", "--k", "3", "--string", "0010011", "--max-n", "3"])
+        assert res.exit_code == 1
+        # n = 1, 2 have no connected variant at k = 3: 1 + 1 + 1 + 2 polynomials
+        assert json.loads(res.stdout) == {
+            "k": 3,
+            "checked": 5,
+            "holds": False,
+            "witnesses": [
+                {"string": "0010011", "index": 1},
+                {"n": 2, "connected": False, "index": 3},
+                {"n": 3, "connected": True, "index": 5},
+            ],
+        }
+
+
+def as_args(name, kwargs):
+    """The command line that passes kwargs to the command called name."""
+    args = [name]
+    for key, value in kwargs.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            args.append(flag)
+        elif value not in (None, False):
+            args += [flag, str(value)]
+    return args
+
+
+# one valid input per command, as keyword arguments of its function
+VALID = {
+    "gen": {"n": 9, "k": 3, "connected": False},
+    "build": {"string": "00101", "k": 3},
+    "ipoly": {"string": "00101", "k": 3, "file": None, "method": "all", "unsafe_no_guard": False},
+    "logconcave": {"string": "001010101", "k": 3, "max_n": 6},
+    "label": {"string": "00101", "k": 3},
+    "verify-t2": {"string": "00101", "k": 3, "file": None, "labels": "auto"},
+    "verify-t3": {"file": "h1.json"},
+    "degrees": {"string": None, "k": None, "file": "h1.json"},
+    "feasible-t2": {"file": "h2.json"},
+    "recognize": {"file": "h1.json"},
+    "sweep": {"k_max": 3, "n_max": 5},
+}
+
+
+class TestCommandsCompute:
+    """A command returns (payload, text lines, exit code); main alone prints and exits."""
+
+    @pytest.mark.parametrize("name", OPTIONS)
+    def test_a_command_returns_its_result_and_prints_nothing(
+        self, name, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("NUM_WORKERS", "1")
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path, "h1.json", H1_JSON)
+        write_json(tmp_path, "h2.json", H2_JSON)
+        fn, _ = cli.COMMANDS[name]
+        assert "fmt" not in fn.__code__.co_varnames[: fn.__code__.co_argcount]
+        result = fn(**VALID[name])
+        assert capsys.readouterr().out == ""
+        assert type(result) is tuple and len(result) == 3
+        payload, lines, code = result
+        assert type(payload) is dict and type(lines) is list and type(code) is int
+        assert code in (0, 1) and all(type(line) is str for line in lines)
+        # main prints that result in either format and exits with its code
+        args = as_args(name, VALID[name])
+        res = invoke(args)
+        assert (res.exit_code, res.stdout) == (code, json.dumps(payload, indent=2) + "\n")
+        res = invoke(args + ["--format", "text"])
+        assert (res.exit_code, res.stdout) == (code, "".join(f"{line}\n" for line in lines))
+
+    def test_out_of_memory_is_a_refusal(self, monkeypatch):
+        def exhaust(**kwargs):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.COMMANDS, "gen", (exhaust, cli.COMMANDS["gen"][1]))
+        res = invoke(["gen", "--n", "9", "--k", "3"])
+        assert (res.exit_code, res.stdout, res.stderr) == (3, "", "refused: out of memory\n")
 
 
 class TestColdStart:

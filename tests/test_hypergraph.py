@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from antiregular import (
     BuildingString,
     Hypergraph,
+    Labeling,
+    algorithm1_labels,
     antiregular_string,
     build_hypergraph,
     complement_uniform,
@@ -21,9 +23,10 @@ from antiregular import (
     hypergraph_from_json,
     hypergraph_to_json,
     recognize_zero_one_constructable,
+    verify_t2,
     zykov_k_sum,
 )
-from antiregular import hypergraph
+from antiregular import hypergraph, threshold
 from conftest import assert_frozen_record, building_strings, reference_edges, reference_twin
 
 # the five-vertex k=3 connected instance and its edge set, checked by hand
@@ -253,12 +256,26 @@ class TestEdgeFlags:
 
     @pytest.mark.parametrize("n", [256, 300])
     def test_past_a_byte_of_vertices_flags_come_from_the_edges(self, n):
-        # tops of 1..256 fit a byte; past that the edge set answers
+        # tops of 1..256 fit the cached byte table; past that each subset's top is read
         b = BuildingString(("0" + "011" * n)[:n], 2)
         h = build_hypergraph(b)
         flags = h.edge_flags()
         assert flags == reference_twin(b).edge_flags()
         assert sum(flags) == len(h.edges) == sum(p - 1 for p in b.dominating_positions)
+
+    def test_past_a_byte_of_vertices_verify_t2_agrees_with_the_twin(self):
+        # verify_t2 scans the flags here: C(300, 2) is within SCAN_RATIO (k + 1)|E|
+        b = BuildingString(("0" + "011" * 300)[:300], 2)
+        h, twin = build_hypergraph(b), reference_twin(b)
+        assert comb(b.n, 2) <= threshold.SCAN_RATIO * 3 * len(h.edges)
+        good = algorithm1_labels(b)
+        bad = Labeling(good.c[::-1], good.tau)
+        assert verify_t2(h, good) == verify_t2(twin, good) == (True, None)
+        verdict = verify_t2(h, bad)
+        assert verdict == verify_t2(twin, bad) and not verdict.holds
+        # the witness is a k-subset the labels put on the wrong side of tau
+        over = sum(bad.c[v - 1] for v in verdict.witness) > bad.tau
+        assert (verdict.witness in twin.edges) != over
 
 
 class TestHypergraphType:

@@ -513,6 +513,52 @@ def pairwise_monotonicity(b, labeling):
     return True, None
 
 
+def interval_monotonicity(b, labeling):
+    """Reference: check_label_monotonicity as it slices each interval per clause.
+
+    The verdict record it returns, detail text included, is the one the
+    library's single pass over the runs must give.
+    """
+    c = labeling.c
+    dec = intervals(b)
+    ones = dec.one_intervals
+    lead, *later_zeros = dec.zero_intervals
+
+    def labels(iv):
+        return list(c[iv[0] - 1 : iv[1]])
+
+    for a, b2 in zip(ones, ones[1:]):
+        if not max(labels(a)) < min(labels(b2)):
+            return MonotonicityVerdict(
+                False, "one-across", f"1-intervals {a} and {b2} fail to increase"
+            )
+    for iv in ones:
+        if len(set(labels(iv))) > 1:
+            return MonotonicityVerdict(False, "one-within", f"1-interval {iv} is not constant")
+    if len(set(labels(lead))) > 1:
+        return MonotonicityVerdict(
+            False, "zero-leading", f"leading 0-interval {lead} is not constant"
+        )
+    for a, b2 in zip(later_zeros, later_zeros[1:]):
+        if not min(labels(a)) > max(labels(b2)):
+            return MonotonicityVerdict(
+                False, "zero-across", f"0-intervals {a} and {b2} fail to decrease"
+            )
+    for iv in later_zeros:
+        vals = labels(iv)
+        if any(x >= y for x, y in zip(vals, vals[1:])):
+            return MonotonicityVerdict(
+                False, "zero-within", f"0-interval {iv} is not strictly increasing"
+            )
+    dom = [c[i] for i, ch in enumerate(b.bits) if ch == "1"]
+    iso = [c[i] for i, ch in enumerate(b.bits) if ch == "0"]
+    if dom and iso and not min(dom) > max(iso):
+        return MonotonicityVerdict(
+            False, "separation", "some dominating label fails to exceed an isolated one"
+        )
+    return MonotonicityVerdict(True)
+
+
 @st.composite
 def nudged_labelings(draw):
     """A building string and its Algorithm 1 labels, with a few swaps between
@@ -548,6 +594,14 @@ class TestMonotonicity:
                 runs = intervals(b).zero_intervals[1:]
             named = [iv for iv in runs if str(iv) in verdict.detail]
             assert len(named) == 2 and runs.index(named[1]) == runs.index(named[0]) + 1
+
+    @given(nudged_labelings())
+    @settings(max_examples=400)
+    def test_one_pass_equals_the_per_clause_slicing(self, case):
+        b, lab = case
+        verdict = check_label_monotonicity(b, lab)
+        assert verdict == interval_monotonicity(b, lab)
+        assert (verdict.holds, verdict.violated_clause) == pairwise_monotonicity(b, lab)
 
     def test_across_detail_names_an_adjacent_pair(self):
         # 1-bits 3, 5, 7 labelled 2, 5, 1: the pairwise scan named (3, 3) and (7, 7)
